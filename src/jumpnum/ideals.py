@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import pairwise
 
 from .graph import ResolutionGraph, ensure_valid
 from .lattice import ValuationTable, valuation_table
@@ -67,9 +68,9 @@ class JumpingSet:
 
     def __post_init__(self):
         values = [xi for xi, _ in self.entries]
-        if values != sorted(set(values)):
+        if any(a >= b for a, b in pairwise(values)):
             raise ValueError("entries must be strictly increasing")
-        if any(xi <= 0 for xi in values):
+        if values and values[0] <= 0:
             raise ValueError("jumping numbers are positive")
         if any(not support for _, support in self.entries):
             raise ValueError("support sets must be nonempty")

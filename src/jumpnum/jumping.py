@@ -10,12 +10,12 @@ each support vertex is a plain scan over numerators.
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 from functools import lru_cache
 
 from .graph import adjacency, branch
 from .ideals import IdealSpec, JumpingSet
+from .lattice import canonical
 from .semigroups import branch_gcd, membership, vertex_semigroup
 
 __all__ = [
@@ -27,8 +27,6 @@ __all__ = [
     "jumping_numbers",
     "log_canonical_threshold",
 ]
-
-LCT_BOUND_CAP = 1 << 16
 
 
 def ceil_positive(x) -> int:
@@ -45,15 +43,26 @@ def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
 
 @lru_cache(maxsize=4096)
 def _vertex_context(ideal: IdealSpec, mu: int):
+    """d_mu, the valence offset, one (s, w, s*d_mu) triple per branch (s its
+    gcd, w its value) and the vertex semigroup."""
     dual = adjacency(ideal.graph)
-    terms = tuple(
-        (branch_gcd(ideal.table, ideal.graph, mu, nu), branch_value(ideal, mu, nu))
-        for nu in dual.neighbors_of(mu)
-    )
+    d_mu = ideal.valuations[mu - 1]
+    terms = []
+    for nu in dual.neighbors_of(mu):
+        s = branch_gcd(ideal.table, ideal.graph, mu, nu)
+        terms.append((s, branch_value(ideal, mu, nu), s * d_mu))
     offset = (dual.valence(mu) - 2) * ideal.table.entry(mu, mu)
-    return ideal.valuations[mu - 1], offset, terms, vertex_semigroup(
-        ideal.table, ideal.graph, mu
-    )
+    return d_mu, offset, tuple(terms), vertex_semigroup(ideal.table, ideal.graph, mu)
+
+
+def _scores(offset: int, terms, ts: range) -> list[int]:
+    """Scores of the candidates t/d_mu for t in ts: t plus the offset, minus
+    s*max(ceil(w*t / (s*d_mu)), 1) per branch, all in integers."""
+    scores = [t + offset for t in ts]
+    for s, w, sd in terms:
+        ceilings = [-(-w * t // sd) for t in ts]
+        scores = [x - s * c if c > 1 else x - s for x, c in zip(scores, ceilings)]
+    return scores
 
 
 def jump_test_value(ideal: IdealSpec, mu: int, xi: Fraction) -> int:
@@ -69,19 +78,15 @@ def jump_test_value(ideal: IdealSpec, mu: int, xi: Fraction) -> int:
         raise ValueError(
             f"{xi} is not a candidate at vertex {mu}: {xi}*{d_mu} is not an integer"
         )
-    return int(scaled) + offset - sum(
-        s * ceil_positive(Fraction(weight, s) * xi) for s, weight in terms
-    )
+    t = int(scaled)
+    return _scores(offset, terms, range(t, t + 1))[0]
 
 
-def _semigroup_scan(ideal: IdealSpec, mu: int, bound: Fraction):
+def _semigroup_scan(ideal: IdealSpec, mu: int, bound: Fraction) -> list[int]:
+    """Numerators t of the jumping numbers t/d_mu <= bound supported at mu."""
     d_mu, offset, terms, semigroup = _vertex_context(ideal, mu)
-    for t in range(1, math.floor(bound * d_mu) + 1):
-        score = t + offset - sum(
-            s * ceil_positive(Fraction(weight * t, s * d_mu)) for s, weight in terms
-        )
-        if membership(semigroup, score):
-            yield Fraction(t, d_mu)
+    ts = range(1, math.floor(bound * d_mu) + 1)
+    return [t for t, x in zip(ts, _scores(offset, terms, ts)) if membership(semigroup, x)]
 
 
 def jumping_numbers_at(ideal: IdealSpec, mu: int, bound) -> JumpingSet:
@@ -89,9 +94,10 @@ def jumping_numbers_at(ideal: IdealSpec, mu: int, bound) -> JumpingSet:
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
+    d_mu = ideal.valuations[mu - 1]
     support = frozenset({mu})
     return JumpingSet(
-        tuple((xi, support) for xi in _semigroup_scan(ideal, mu, bound))
+        tuple((Fraction(t, d_mu), support) for t in _semigroup_scan(ideal, mu, bound))
     )
 
 
@@ -109,28 +115,21 @@ def support_vertices(ideal: IdealSpec) -> frozenset:
 def jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
     """All jumping numbers up to the bound, with supporting vertices."""
     bound = Fraction(bound)
-    merged: dict[Fraction, set] = {}
-    for mu in sorted(support_vertices(ideal)):
-        for xi in _semigroup_scan(ideal, mu, bound):
-            merged.setdefault(xi, set()).add(mu)
+    support = sorted(support_vertices(ideal))
+    # t/d_mu == key/lcm with key = t*(lcm // d_mu): an exact integer sort key.
+    lcm = math.lcm(*(ideal.valuations[mu - 1] for mu in support))
+    merged: dict[int, list] = {}
+    for mu in support:
+        scale = lcm // ideal.valuations[mu - 1]
+        for t in _semigroup_scan(ideal, mu, bound):
+            merged.setdefault(t * scale, []).append(mu)
     return JumpingSet(
-        tuple((xi, frozenset(merged[xi])) for xi in sorted(merged))
+        tuple((Fraction(key, lcm), frozenset(merged[key])) for key in sorted(merged))
     )
 
 
 def log_canonical_threshold(ideal: IdealSpec) -> Fraction:
-    """Smallest jumping number.
-
-    A bound of two always suffices for an integral factorization; the loop
-    still escalates defensively instead of relying on that fact.
-    """
-    bound = Fraction(2)
-    while bound <= LCT_BOUND_CAP:
-        found = jumping_numbers(ideal, bound)
-        if found.entries:
-            return found.entries[0][0]
-        warnings.warn(
-            f"no jumping number up to {bound}; retrying with bound {bound * 2}"
-        )
-        bound *= 2
-    raise RuntimeError("no jumping number found below the bound cap")
+    """Smallest jumping number: min over the vertices of (k_i + 1) / d_i,
+    with k the canonical divisor in E-coordinates and d the valuations."""
+    k = canonical(ideal.graph).k
+    return min(Fraction(k_i + 1, d_i) for k_i, d_i in zip(k, ideal.valuations))

@@ -3,15 +3,17 @@
 Each branch emanating from a vertex contributes the gcd of the valuation
 values at its ends; those gcds, together with the vertex's own diagonal
 value, generate the semigroup that decides which candidates are jumping
-numbers.  Membership tests are exact: a bitset closure under generator
-addition, with the two-coprime-generator Frobenius bound as a shortcut.
+numbers.  Membership tests are exact and O(1): each semigroup keeps its
+Apery table modulo its smallest generator m, the least member of every
+residue class, built once by the round-robin pass of Boecker and Liptak
+(Algorithmica 2007) in O(k*m) for k generators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from .graph import ResolutionGraph, adjacency, branch
 from .lattice import ValuationTable
@@ -44,83 +46,50 @@ class NumericalSemigroup:
     def gcd(self) -> int:
         return math.gcd(*self.generators) if len(self.generators) > 1 else self.generators[0]
 
+    @cached_property
+    def apery(self) -> tuple[int | None, ...]:
+        """Apery table modulo the smallest generator m: entry r is the least
+        member congruent to r mod m, or None when no member is (gcd > 1)."""
+        m = self.generators[0]
+        least = [None] * m
+        least[0] = 0
+        for a in self.generators[1:]:
+            step = math.gcd(a, m)
+            # The residues r, r+a, r+2a, ... mod m form a cycle of length
+            # m/step.  Adding a cannot improve the least entry of the cycle,
+            # so one lap starting there settles every entry.
+            for r in range(step):
+                known = [q for q in range(r, m, step) if least[q] is not None]
+                if not known:
+                    continue
+                q = min(known, key=least.__getitem__)
+                for _ in range(m // step - 1):
+                    nxt = (q + a) % m
+                    value = least[q] + a
+                    if least[nxt] is None or value < least[nxt]:
+                        least[nxt] = value
+                    q = nxt
+        return tuple(least)
+
     def frobenius_number(self) -> int:
         """Largest integer outside the semigroup; -1 when there is none.
 
         Only defined when the generators are globally coprime (otherwise
-        the complement is infinite).
+        the complement is infinite).  Selmer's formula: the largest Apery
+        table entry minus the smallest generator.
         """
         if self.gcd() != 1:
             raise ValueError("complement is infinite unless the gcd is 1")
-        step = self.generators[0]
-        limit = 4 * max(self.generators) + step
-        while True:
-            bits = _closure_bits(self.generators, limit)
-            window = (1 << step) - 1
-            # A run of `step` consecutive members is closed under adding
-            # the smallest generator, so everything above it is a member.
-            top = next(
-                (
-                    x
-                    for x in range(limit - step + 1, -1, -1)
-                    if bits >> x & window == window
-                ),
-                None,
-            )
-            if top is not None:
-                for x in range(top - 1, -1, -1):
-                    if not bits >> x & 1:
-                        return x
-                return -1
-            limit *= 2
+        return max(self.apery) - self.generators[0]
 
 
-def _coprime_pair_bound(generators: tuple[int, ...]):
-    """Least (a-1)(b-1) over coprime generator pairs; every integer at or
-    above it is a member.  None when no two generators are coprime, in
-    which case the shortcut does not apply."""
-    if generators[0] == 1:
-        return 0
-    best = None
-    for i, a in enumerate(generators):
-        for b in generators[i + 1:]:
-            if math.gcd(a, b) == 1:
-                conductor = (a - 1) * (b - 1)
-                if best is None or conductor < best:
-                    best = conductor
-    return best
-
-
-@lru_cache(maxsize=4096)
-def _closure_bits(generators: tuple[int, ...], limit: int) -> int:
-    """Bitset of members in 0..limit, closed under generator addition."""
-    mask = (1 << (limit + 1)) - 1
-    bits = 1
-    for g in generators:
-        if g > limit:
-            continue
-        while True:
-            more = (bits | (bits << g)) & mask
-            if more == bits:
-                break
-            bits = more
-    return bits
-
-
-def membership(semigroup: NumericalSemigroup, x: int) -> bool:
-    """Exact membership test; always false for negative integers."""
-    if x < 0:
+def membership(semigroup: NumericalSemigroup, x) -> bool:
+    """Exact membership test; false for negative and non-integral numbers."""
+    if x < 0 or x % 1:
         return False
-    if x == 0:
-        return True
-    gens = semigroup.generators
-    g = semigroup.gcd()
-    if x % g:
-        return False
-    bound = _coprime_pair_bound(tuple(v // g for v in gens))
-    if bound is not None and x // g >= bound:
-        return True
-    return bool(_closure_bits(gens, x) >> x & 1)
+    x = int(x)
+    least = semigroup.apery[x % semigroup.generators[0]]
+    return least is not None and least <= x
 
 
 def branch_gcd(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:

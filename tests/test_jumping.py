@@ -5,6 +5,7 @@ import pytest
 
 from jumpnum import (
     IdealSpec,
+    JumpingSet,
     ResolutionGraph,
     adjacency,
     branch,
@@ -17,7 +18,7 @@ from jumpnum import (
     support_vertices,
 )
 
-from conftest import random_ideal
+from conftest import load_fixture, random_ideal
 
 
 def test_ceil_positive():
@@ -95,6 +96,51 @@ def test_lct_values(maximal_ideal, cusp_ideal, sample20_ideal):
     assert log_canonical_threshold(maximal_ideal) == 2
     assert log_canonical_threshold(cusp_ideal) == Fraction(5, 6)
     assert log_canonical_threshold(sample20_ideal) == Fraction(5, 78)
+
+
+def test_lct_closed_form_matches_smallest_scanned_value():
+    rng = random.Random(109)
+    ideals = [load_fixture(name) for name in ("maximal.res", "cusp.res", "sample20.res")]
+    ideals += [random_ideal(rng, max_n=8) for _ in range(300)]
+    for ideal in ideals:
+        assert log_canonical_threshold(ideal) == jumping_numbers(ideal, 2).entries[0][0]
+
+
+def test_merge_matches_per_vertex_scans():
+    # The merged set is the union of the per-vertex sets, and each value is
+    # supported exactly where its vertex scan finds it.
+    rng = random.Random(127)
+    ideals = [load_fixture(name) for name in ("maximal.res", "cusp.res", "sample20.res")]
+    ideals += [random_ideal(rng, max_n=10, satellite_bias=0.8) for _ in range(40)]
+    for ideal in ideals:
+        bound = 2
+        expected: dict = {}
+        for mu in support_vertices(ideal):
+            for xi in jumping_numbers_at(ideal, mu, bound).values():
+                expected.setdefault(xi, set()).add(mu)
+        found = jumping_numbers(ideal, bound)
+        assert found.values() == tuple(sorted(expected))
+        for xi, support in found:
+            assert support == expected[xi]
+
+
+def test_jumping_set_validation():
+    one = frozenset({1})
+    assert JumpingSet(()).values() == ()
+    assert JumpingSet(((Fraction(1, 3), one), (Fraction(1, 2), one))).values() == (
+        Fraction(1, 3),
+        Fraction(1, 2),
+    )
+    for entries in (
+        ((Fraction(1, 2), one), (Fraction(1, 3), one)),
+        ((Fraction(1, 2), one), (Fraction(2, 4), one)),
+    ):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JumpingSet(entries)
+    with pytest.raises(ValueError, match="positive"):
+        JumpingSet(((Fraction(0), one), (Fraction(1), one)))
+    with pytest.raises(ValueError, match="nonempty"):
+        JumpingSet(((Fraction(1), frozenset()),))
 
 
 def test_valence_one_vertex_without_factor_supports_nothing(cusp_ideal):

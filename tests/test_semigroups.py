@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -107,6 +108,43 @@ def test_membership_small_cases():
     assert membership(sparse, 22)
 
 
+def test_membership_rejects_negative_and_non_integral_numbers():
+    for gens in ((2, 3), (1,), (4, 6)):
+        semigroup = NumericalSemigroup(gens)
+        assert membership(semigroup, 0)
+        assert 0 in semigroup
+        for x in (-1, -2, -6, Fraction(-4), Fraction(3, 2), Fraction(13, 2), 2.5):
+            assert not membership(semigroup, x)
+            assert x not in semigroup
+    assert membership(NumericalSemigroup((2, 3)), Fraction(4))
+
+
+def _random_generators(rng):
+    gens = {rng.randint(2, 30) for _ in range(rng.randint(1, 4))}
+    kind = rng.randrange(3)
+    if kind == 1:
+        factor = rng.randint(2, 4)
+        gens = {g * factor for g in gens}  # gcd > 1
+    elif kind == 2:
+        gens.add(1)
+    return tuple(sorted(gens))
+
+
+def test_apery_membership_agrees_with_bruteforce():
+    rng = random.Random(59)
+    for _ in range(80):
+        gens = _random_generators(rng)
+        semigroup = NumericalSemigroup(gens)
+        m = gens[0]
+        # Every Apery element is a sum of fewer than m generators.
+        limit = max(m, 5) * max(gens)
+        members = semigroup_bruteforce(gens, limit)
+        assert [membership(semigroup, x) for x in range(limit + 1)] == members
+        for r, least in enumerate(semigroup.apery):
+            in_class = [x for x in range(r, limit + 1, m) if members[x]]
+            assert least == (in_class[0] if in_class else None)
+
+
 def test_membership_agrees_with_bruteforce():
     rng = random.Random(61)
     for _ in range(60):
@@ -127,6 +165,26 @@ def test_frobenius_number_two_coprime_generators():
             continue
         seen += 1
         assert NumericalSemigroup((a, b)).frobenius_number() == a * b - a - b
+
+
+def test_frobenius_number_three_or_more_generators():
+    rng = random.Random(97)
+    seen = 0
+    while seen < 40:
+        gens = tuple(sorted({rng.randint(2, 30) for _ in range(rng.randint(3, 5))}))
+        if len(gens) < 3 or math.gcd(*gens) != 1:
+            continue
+        seen += 1
+        members = semigroup_bruteforce(gens, gens[0] * gens[-1])
+        gaps = [x for x, member in enumerate(members) if not member]
+        expected = gaps[-1] if gaps else -1
+        assert NumericalSemigroup(gens).frobenius_number() == expected
+
+
+def test_frobenius_number_requires_coprime_generators():
+    with pytest.raises(ValueError, match="infinite"):
+        NumericalSemigroup((4, 6)).frobenius_number()
+    assert NumericalSemigroup((1, 5)).frobenius_number() == -1
 
 
 def test_value_semigroup_single_vertex():
