@@ -2,15 +2,17 @@
 
 A divisor is carried in one of three integral bases: the strict
 transforms (E), the total transforms (E*), or the dual basis (E^) whose
-coordinates are the factorization multiplicities.  Base changes are exact
-integer/rational matrix products against the proximity matrix, its inverse
-and the valuation matrix; no floating point is used anywhere, so floor and
-ceiling operations downstream stay trustworthy.
+coordinates are the factorization multiplicities.  Coordinates are plain
+ints where integral and exact Fractions otherwise, so floors and ceilings
+downstream stay trustworthy.  Base changes walk the proximities and the
+inverse proximity matrix; the antinef closure unloads on the dual graph's
+weights and neighbours, without forming the intersection matrix.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +23,6 @@ from .graph import (
     adjacency,
     ensure_valid,
     inverse_proximity,
-    intersection_form,
 )
 
 __all__ = [
@@ -48,25 +49,34 @@ class Basis(enum.Enum):
 
 @dataclass(frozen=True)
 class Divisor:
-    """Exact coordinates of a lattice divisor in a declared basis."""
+    """Exact coordinates of a lattice divisor in a declared basis.
 
-    coords: tuple[Fraction, ...]
+    Coordinates are exact: an ``int`` where the value is integral, a
+    ``Fraction`` otherwise (floats are converted exactly).  Divisors with
+    the same values are equal and hash alike however they were built.
+    """
+
+    coords: tuple[int | Fraction, ...]
     basis: Basis
 
     def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(self.coords))
+        if not self.is_integral():
+            exact = [Fraction(c) for c in self.coords]
+            coords = tuple(c.numerator if c.denominator == 1 else c for c in exact)
+            object.__setattr__(self, "coords", coords)
 
     @property
     def n(self) -> int:
         return len(self.coords)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
+        return {int}.issuperset(map(type, self.coords))
 
     def int_coords(self) -> tuple[int, ...]:
         if not self.is_integral():
             raise ValueError("divisor has non-integral coordinates")
-        return tuple(int(c) for c in self.coords)
+        return self.coords
 
 
 @dataclass(frozen=True)
@@ -116,16 +126,6 @@ def valuation_table(graph: ResolutionGraph) -> ValuationTable:
     return ValuationTable(tuple(rows))
 
 
-def _vec_times(vec, matrix):
-    n = len(vec)
-    return tuple(sum(vec[k] * matrix[k][j] for k in range(n)) for j in range(n))
-
-
-def _vec_times_transpose(vec, matrix):
-    n = len(vec)
-    return tuple(sum(vec[k] * matrix[j][k] for k in range(n)) for j in range(n))
-
-
 def to_basis(divisor: Divisor, target: Basis, graph: ResolutionGraph) -> Divisor:
     """Rewrite a divisor exactly in another basis.
 
@@ -141,35 +141,28 @@ def to_basis(divisor: Divisor, target: Basis, graph: ResolutionGraph) -> Divisor
     order = (Basis.E, Basis.E_STAR, Basis.E_HAT)
     i, j = order.index(divisor.basis), order.index(target)
     coords = divisor.coords
-    q = inverse_proximity(graph)
-    while i < j:  # E -> E* -> E^
-        if i == 0:
-            coords = _star_from_e(coords, graph)
-        else:
-            coords = _hat_from_star(coords, graph)
-        i += 1
-    while i > j:
-        if i == 2:
-            coords = _vec_times(coords, q)  # E^ -> E*
-        else:
-            coords = _vec_times_transpose(coords, q)  # E* -> E
-        i -= 1
+    for step in range(i, j):  # E -> E* -> E^
+        coords = (_star_from_e if step == 0 else _hat_from_star)(coords, graph)
+    for step in range(i, j, -1):  # E^ -> E* is coords * Q, E* -> E is coords * Q^t
+        q = inverse_proximity(graph)
+        rows = zip(*q) if step == 2 else q
+        coords = tuple(sum(map(operator.mul, coords, row)) for row in rows)
     return Divisor(coords, target)
 
 
 def _star_from_e(coords, graph):
-    return tuple(
-        coords[mu - 1] - sum(coords[nu - 1] for nu in graph.prox[mu - 1])
-        for mu in range(1, graph.n + 1)
-    )
+    out = list(coords)  # P times coords
+    for mu, targets in enumerate(graph.prox):
+        for nu in targets:
+            out[mu] -= coords[nu - 1]
+    return tuple(out)
 
 
 def _hat_from_star(coords, graph):
-    n = graph.n
-    out = list(coords)
-    for nu in range(2, n + 1):
-        for mu in graph.prox[nu - 1]:
-            out[mu - 1] -= coords[nu - 1]
+    out = list(coords)  # P^t times coords
+    for nu, targets in enumerate(graph.prox):
+        for mu in targets:
+            out[mu - 1] -= coords[nu]
     return tuple(out)
 
 
@@ -177,10 +170,8 @@ def canonical(graph: ResolutionGraph) -> CanonicalData:
     """Canonical divisor: row sums of the inverse proximity matrix in
     E-coordinates, two minus the weight in dual coordinates."""
     ensure_valid(graph)
-    q = inverse_proximity(graph)
-    dual = adjacency(graph)
-    k = tuple(sum(row) for row in q)
-    k_hat = tuple(2 - dual.weight(mu) for mu in range(1, graph.n + 1))
+    k = tuple(map(sum, inverse_proximity(graph)))
+    k_hat = tuple(2 - w for w in adjacency(graph).weights)
     return CanonicalData(k, k_hat)
 
 
@@ -194,38 +185,40 @@ def antinef_closure(divisor: Divisor, graph: ResolutionGraph) -> Divisor:
     """Minimal antinef divisor dominating the input, via unloading.
 
     The input must have integer E-coordinates.  Negative coordinates are
-    first clamped to zero (global sections only see the effective part),
-    then every vertex with a negative dual coordinate is raised by the
-    least amount that could clear it.  Each step stays below every antinef
-    divisor dominating the input, so the loop terminates at the minimum.
+    first clamped to zero (global sections only see the effective part).
+    The dual coordinates g^_j = w_j g_j - (sum of g over the neighbours of
+    j) come from the dual graph alone, and every vertex with a negative one
+    is raised by the least amount that could clear it.  Each step stays
+    below every antinef divisor dominating the input, so the loop
+    terminates at the minimum.
     """
     ensure_valid(graph)
     e = to_basis(divisor, Basis.E, graph)
     if not e.is_integral():
         raise ValueError("antinef closure needs integral E-coordinates")
-    n = graph.n
     dual = adjacency(graph)
-    g = [max(int(c), 0) for c in e.coords]
-    form = intersection_form(graph)
-    ghat = [
-        sum(g[k] * form[k][j] for k in range(n) if g[k] and form[k][j])
-        for j in range(n)
-    ]
-    pending = [j for j in range(n) if ghat[j] < 0]
+    weights, neighbors = dual.weights, dual.neighbors
+    g = [max(c, 0) for c in e.coords]
+    ghat = [w * x for w, x in zip(weights, g)]
+    for x, adj in zip(g, neighbors):
+        if x:
+            for nu in adj:
+                ghat[nu - 1] -= x
+    pending = [j for j, x in enumerate(ghat) if x < 0]
     while pending:
         j = pending.pop()
         deficit = -ghat[j]
         if deficit <= 0:
             continue
-        w = dual.weight(j + 1)
+        w = weights[j]
         step = -(-deficit // w)
         g[j] += step
         ghat[j] += w * step
-        for nu in dual.neighbors_of(j + 1):
+        for nu in neighbors[j]:
             ghat[nu - 1] -= step
             if ghat[nu - 1] < 0:
                 pending.append(nu - 1)
-    return Divisor(tuple(Fraction(x) for x in g), Basis.E)
+    return Divisor(tuple(g), Basis.E)
 
 
 def valuation_ratio(table: ValuationTable, mu: int, gamma: int, nu: int) -> Fraction:

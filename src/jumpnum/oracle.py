@@ -12,6 +12,7 @@ two pipelines is meaningful evidence for both.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,24 +37,17 @@ class MultiplierIdealResult:
     divisor: Divisor  # antinef, in the dual basis
 
 
-def _closure_from_floors(ideal: IdealSpec, floors) -> tuple[int, ...]:
-    k = canonical(ideal.graph).k
-    raw = tuple(max(f - kv, 0) for f, kv in zip(floors, k))
-    closed = antinef_closure(Divisor(raw, Basis.E), ideal.graph)
-    return closed.int_coords()
+def _floors(valuations, p: int, q: int, left: bool = False) -> tuple[int, ...]:
+    """Floors of (p/q)*d over the valuations d, or with ``left`` just below
+    p/q, where exact integers step down: floor((a-1)/q) for a = p*d."""
+    shift = 1 if left else 0
+    return tuple((p * d - shift) // q for d in valuations)
 
 
-def _floors_at(ideal: IdealSpec, xi: Fraction) -> tuple[int, ...]:
-    return tuple(math.floor(xi * d) for d in ideal.valuations)
-
-
-def _floors_left_of(ideal: IdealSpec, xi: Fraction) -> tuple[int, ...]:
-    """Floors of the scaled divisor just below xi: integers step down."""
-    out = []
-    for d in ideal.valuations:
-        scaled = xi * d
-        out.append(int(scaled) - 1 if scaled.denominator == 1 else math.floor(scaled))
-    return tuple(out)
+def _closure(ideal: IdealSpec, k: tuple[int, ...], floors) -> tuple[int, ...]:
+    """E-coordinates of the antinef closure of floors - k, negatives clamped."""
+    raw = Divisor(tuple(map(operator.sub, floors, k)), Basis.E)
+    return antinef_closure(raw, ideal.graph).int_coords()
 
 
 def multiplier_divisor(ideal: IdealSpec, xi) -> MultiplierIdealResult:
@@ -61,7 +55,8 @@ def multiplier_divisor(ideal: IdealSpec, xi) -> MultiplierIdealResult:
     xi = Fraction(xi)
     if xi < 0:
         raise ValueError("parameter must be nonnegative")
-    e_coords = _closure_from_floors(ideal, _floors_at(ideal, xi))
+    k = canonical(ideal.graph).k
+    e_coords = _closure(ideal, k, _floors(ideal.valuations, xi.numerator, xi.denominator))
     hat = to_basis(Divisor(e_coords, Basis.E), Basis.E_HAT, ideal.graph)
     return MultiplierIdealResult(xi, hat)
 
@@ -71,8 +66,10 @@ def is_jumping_number(ideal: IdealSpec, xi) -> bool:
     xi = Fraction(xi)
     if xi <= 0:
         raise ValueError("parameter must be positive")
-    at = _closure_from_floors(ideal, _floors_at(ideal, xi))
-    before = _closure_from_floors(ideal, _floors_left_of(ideal, xi))
+    k = canonical(ideal.graph).k
+    d, p, q = ideal.valuations, xi.numerator, xi.denominator
+    at = _closure(ideal, k, _floors(d, p, q))
+    before = _closure(ideal, k, _floors(d, p, q, left=True))
     return at != before
 
 
@@ -84,19 +81,16 @@ def jumping_number_of_divisor(ideal: IdealSpec, divisor: Divisor):
     """
     if not is_antinef(divisor, ideal.graph):
         raise ValueError("divisor is not antinef")
-    e = to_basis(divisor, Basis.E, ideal.graph)
-    if not e.is_integral():
-        raise ValueError("divisor must be integral")
+    e = to_basis(divisor, Basis.E, ideal.graph).int_coords()
     k = canonical(ideal.graph).k
-    values = [
-        Fraction(f + kv + 1, d)
-        for f, kv, d in zip(e.int_coords(), k, ideal.valuations)
-    ]
-    best = min(values)
-    support = frozenset(
-        nu for nu, value in enumerate(values, start=1) if value == best
-    )
-    return best, support
+    # (numerator, valuation) per vertex; the least ratio by cross-multiplying
+    pairs = [(f + kv + 1, d) for f, kv, d in zip(e, k, ideal.valuations)]
+    a, b = pairs[0]
+    for x, d in pairs:
+        if x * b < a * d:
+            a, b = x, d
+    support = frozenset(nu for nu, (x, d) in enumerate(pairs, start=1) if x * b == a * d)
+    return Fraction(a, b), support
 
 
 def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
@@ -104,34 +98,35 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
 
     Candidates run over all vertices (not just the stars and factor
     vertices), so the scan is independent of the support argument used by
-    the closed formula.
+    the closed formula.  A candidate t/d is the integer key t*(L // d) over
+    L, the lcm of the valuations.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    candidates = sorted(
+    lcm = math.lcm(*ideal.valuations)
+    keys = sorted(
         {
-            Fraction(t, d)
+            t * (lcm // d)
             for d in ideal.valuations
-            for t in range(1, math.floor(bound * d) + 1)
+            for t in range(1, bound.numerator * d // bound.denominator + 1)
         }
     )
+    k = canonical(ideal.graph).k
     cache: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def closure(floors):
         result = cache.get(floors)
         if result is None:
-            result = cache[floors] = _closure_from_floors(ideal, floors)
+            result = cache[floors] = _closure(ideal, k, floors)
         return result
 
     entries = []
-    for xi in candidates:
-        before = closure(_floors_left_of(ideal, xi))
-        if closure(_floors_at(ideal, xi)) != before:
-            _, support = jumping_number_of_divisor(
-                ideal, Divisor(before, Basis.E)
-            )
-            entries.append((xi, support))
+    for key in keys:
+        before = closure(_floors(ideal.valuations, key, lcm, left=True))
+        if closure(_floors(ideal.valuations, key, lcm)) != before:
+            _, support = jumping_number_of_divisor(ideal, Divisor(before, Basis.E))
+            entries.append((Fraction(key, lcm), support))
     return JumpingSet(tuple(entries))
 
 

@@ -251,3 +251,60 @@ def test_table_is_inverse_of_intersection_form():
         )
         assert product == identity
         assert table == tuple(tuple(row) for row in zip(*table))
+
+
+def _reference_closure(coords, graph):
+    """Unloading on the rows of the intersection form, without shortcuts."""
+    n = graph.n
+    form = intersection_form(graph)
+    g = [max(c, 0) for c in coords]
+    while True:
+        ghat = [sum(g[k] * form[k][j] for k in range(n)) for j in range(n)]
+        j = next((j for j in range(n) if ghat[j] < 0), None)
+        if j is None:
+            return tuple(g)
+        g[j] -= ghat[j] // form[j][j]  # ceil(-ghat_j / w_j)
+
+
+def test_antinef_closure_matches_intersection_form_unloading():
+    rng = random.Random(43)
+    for bias in (0.3, 0.8):
+        for _ in range(25):
+            graph = random_blowup_graph(rng, rng.randint(1, 30), bias)
+            coords = tuple(rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(graph.n))
+            closed = antinef_closure(Divisor(coords, Basis.E), graph).coords
+            assert closed == _reference_closure(coords, graph)
+            assert all(type(c) is int for c in closed)
+
+
+def test_is_antinef_agrees_with_dual_coordinate_signs():
+    rng = random.Random(47)
+    for bias in (0.3, 0.8):
+        for _ in range(25):
+            graph = random_blowup_graph(rng, rng.randint(1, 30), bias)
+            denominator = rng.choice((1, 2, 3))
+            coords = tuple(
+                Fraction(rng.randint(-4, 8), denominator) for _ in range(graph.n)
+            )
+            for basis in Basis:
+                divisor = Divisor(coords, basis)
+                hat = to_basis(divisor, Basis.E_HAT, graph).coords
+                assert is_antinef(divisor, graph) == all(c >= 0 for c in hat)
+
+
+def test_divisor_coordinates_are_int_where_integral():
+    from_ints = Divisor((3, 0, -2), Basis.E)
+    from_fractions = Divisor(fractions(3, 0, -2), Basis.E)
+    assert from_ints == from_fractions
+    assert hash(from_ints) == hash(from_fractions)
+    assert all(type(c) is int for c in from_fractions.coords)
+    assert from_fractions.int_coords() == (3, 0, -2)
+
+
+def test_divisor_keeps_non_integers_exact():
+    divisor = Divisor((Fraction(3, 2), 0.5, 1), Basis.E_HAT)
+    assert divisor.coords == (Fraction(3, 2), Fraction(1, 2), 1)
+    assert [type(c) for c in divisor.coords] == [Fraction, Fraction, int]
+    assert not divisor.is_integral()
+    with pytest.raises(ValueError):
+        divisor.int_coords()

@@ -10,6 +10,7 @@ from jumpnum import (
     Divisor,
     NumericalSemigroup,
     adjacency,
+    canonical,
     is_jumping_number,
     jumping_number_of_divisor,
     jumping_numbers,
@@ -126,9 +127,10 @@ def test_left_limit_divisor_realizes_the_jump(maximal_ideal, cusp_ideal, sample2
 
 
 def _left_divisor(ideal, xi):
-    from jumpnum.oracle import _closure_from_floors, _floors_left_of
+    from jumpnum.oracle import _closure, _floors
 
-    return Divisor(_closure_from_floors(ideal, _floors_left_of(ideal, xi)), Basis.E)
+    floors = _floors(ideal.valuations, xi.numerator, xi.denominator, left=True)
+    return Divisor(_closure(ideal, canonical(ideal.graph).k, floors), Basis.E)
 
 
 def test_oracle_supports_contain_star_or_factor_vertex():
@@ -151,3 +153,33 @@ def test_oracle_matches_formula_on_random_ideals():
             oracle_jumping_numbers(ideal, 2).values()
             == jumping_numbers(ideal, 2).values()
         )
+
+
+def test_integer_floors_match_fraction_floors():
+    from jumpnum.oracle import _floors
+
+    rng = random.Random(139)
+    for _ in range(500):
+        q = rng.randint(1, 40)
+        d = rng.randint(1, 200)
+        p = rng.randint(1, 3 * q)
+        if rng.randrange(3) == 0:  # put xi*d on an integer
+            p = rng.randint(1, 3 * d) * q // math.gcd(q, d)
+        xi = Fraction(p, q)
+        scaled = xi * d
+        left = int(scaled) - 1 if scaled.denominator == 1 else math.floor(scaled)
+        assert _floors((d,), xi.numerator, xi.denominator) == (math.floor(scaled),)
+        assert _floors((d,), xi.numerator, xi.denominator, left=True) == (left,)
+        # unreduced keys over a common multiple give the same floors
+        assert _floors((d,), p * 7, q * 7, left=True) == (left,)
+
+
+def test_oracle_scan_equals_pointwise_jump_test():
+    rng = random.Random(149)
+    for _ in range(20):
+        ideal = random_ideal(rng, max_n=7)
+        candidates = sorted(
+            {Fraction(t, d) for d in ideal.valuations for t in range(1, 2 * d + 1)}
+        )
+        expected = [xi for xi in candidates if is_jumping_number(ideal, xi)]
+        assert list(oracle_jumping_numbers(ideal, 2).values()) == expected
