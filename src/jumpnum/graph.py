@@ -9,7 +9,9 @@ pairs of a vertex -- is derived from that data here.
 
 Vertices are 1-based and listed in blowup order, so the proximity matrix
 is unipotent lower triangular and inverts by forward substitution over the
-integers.
+integers.  The intersection form P^t P is kept sparse: a point has at
+most two earlier targets, so its O(n) nonzero off-diagonal entries come
+straight from the proximities and the dual graph in linear time.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ class ResolutionGraph:
             raise ValueError("prox must list one entry per vertex")
         norm = tuple(tuple(sorted(set(map(int, entry)))) for entry in self.prox)
         object.__setattr__(self, "prox", norm)
+        object.__setattr__(self, "_hash", hash((self.n, norm)))
+
+    def __hash__(self):
+        return self._hash
 
     @classmethod
     def build(cls, n: int, prox: dict[int, tuple[int, ...]] | None = None) -> "ResolutionGraph":
@@ -158,30 +164,24 @@ def validate(graph: ResolutionGraph) -> list[str]:
     if out:
         return out
 
-    form = _intersection_form_raw(graph)
-    edges = set()
-    for mu in range(1, n + 1):
-        for nu in range(mu + 1, n + 1):
-            entry = form[mu - 1][nu - 1]
-            if entry == -1:
-                edges.add((mu, nu))
-            elif entry != 0:
-                out.append(
-                    f"intersection form entry {entry} between vertices {mu} and {nu}, "
-                    "expected 0 or -1"
-                )
+    entries = _form_entries(graph)
+    for (mu, nu), entry in sorted(entries.items()):
+        if entry != -1:
+            out.append(
+                f"intersection form entry {entry} between vertices {mu} and {nu}, "
+                "expected 0 or -1"
+            )
     if out:
         return out
 
-    if len(edges) != n - 1:
-        out.append(f"dual graph has {len(edges)} edges, a tree on {n} vertices needs {n - 1}")
+    if len(entries) != n - 1:
+        out.append(f"dual graph has {len(entries)} edges, a tree on {n} vertices needs {n - 1}")
+    neighbors = _dual_graph(graph, entries).neighbors  # every entry is -1 here
     seen = {1}
     stack = [1]
     while stack:
-        v = stack.pop()
-        for a, b in edges:
-            w = b if a == v else a if b == v else None
-            if w is not None and w not in seen:
+        for w in neighbors[stack.pop() - 1]:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     if len(seen) != n:
@@ -235,48 +235,51 @@ def inverse_proximity(graph: ResolutionGraph) -> Matrix:
     return tuple(rows)
 
 
-def _intersection_form_raw(graph: ResolutionGraph) -> Matrix:
+def _form_entries(graph: ResolutionGraph) -> dict[tuple[int, int], int]:
+    """Nonzero entries (mu, nu), mu < nu, of P^t P: -1 where nu is
+    proximate to mu, +1 for each point proximate to both.
+
+    Needs every point proximate to at most two earlier vertices.
+    """
+    entries: dict[tuple[int, int], int] = {}
+    for k, targets in enumerate(graph.prox, 1):
+        for mu in targets:
+            entries[mu, k] = -1
+        if len(targets) == 2:
+            entries[targets] = entries.get(targets, 0) + 1
+    return {key: entry for key, entry in entries.items() if entry}
+
+
+def _dual_graph(graph: ResolutionGraph, edges) -> DualGraph:
+    # the weight is the diagonal entry of P^t P
     n = graph.n
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for mu, nu in edges:
+        neighbors[mu - 1].append(nu)
+        neighbors[nu - 1].append(mu)
     weights = [1] * n
     for targets in graph.prox:
         for nu in targets:
             weights[nu - 1] += 1
-    form = [[0] * n for _ in range(n)]
-    for mu in range(1, n + 1):
-        form[mu - 1][mu - 1] = weights[mu - 1]
-    # (P^t P)_{mu,nu} = sum_k p_{k,mu} p_{k,nu} for mu != nu
-    for mu in range(1, n + 1):
-        for nu in range(mu + 1, n + 1):
-            entry = 0
-            if mu in graph.prox[nu - 1]:
-                entry -= 1
-            for k in range(nu + 1, n + 1):
-                targets = graph.prox[k - 1]
-                if mu in targets and nu in targets:
-                    entry += 1
-            form[mu - 1][nu - 1] = form[nu - 1][mu - 1] = entry
-    return tuple(map(tuple, form))
+    return DualGraph(n, tuple(tuple(sorted(adj)) for adj in neighbors), tuple(weights))
 
 
 def intersection_form(graph: ResolutionGraph) -> Matrix:
     """The symmetric form whose diagonal carries the vertex weights and
-    whose -1 entries are the dual-graph edges."""
-    ensure_valid(graph)
-    return _intersection_form_raw(graph)
+    whose -1 entries are the dual-graph edges, filled in on demand."""
+    dual = adjacency(graph)
+    return tuple(
+        tuple(dual.weight(mu) if mu == nu else -(nu in adj) for nu in range(1, graph.n + 1))
+        for mu, adj in enumerate(dual.neighbors, 1)
+    )
 
 
 @lru_cache(maxsize=None)
 def adjacency(graph: ResolutionGraph) -> DualGraph:
-    """Dual graph read off the intersection form."""
+    """Dual graph from the sparse intersection form: neighbours ascending,
+    weights one plus the number of points proximate to the vertex."""
     ensure_valid(graph)
-    form = _intersection_form_raw(graph)
-    n = graph.n
-    neighbors = tuple(
-        tuple(nu for nu in range(1, n + 1) if form[mu - 1][nu - 1] == -1)
-        for mu in range(1, n + 1)
-    )
-    weights = tuple(form[mu - 1][mu - 1] for mu in range(1, n + 1))
-    return DualGraph(n, neighbors, weights)
+    return _dual_graph(graph, _form_entries(graph))
 
 
 def branch(graph: ResolutionGraph, mu: int, nu: int) -> frozenset:

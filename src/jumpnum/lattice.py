@@ -112,17 +112,17 @@ class CanonicalData:
 
 @lru_cache(maxsize=None)
 def valuation_table(graph: ResolutionGraph) -> ValuationTable:
-    """Exact inverse of the intersection form, computed as Q Q^t."""
+    """Exact inverse of the intersection form Q Q^t, by forward substitution.
+
+    P Q = I gives P (Q Q^t) = Q^t, so row mu is column mu of Q plus the
+    rows of the (at most two) vertices mu is proximate to.
+    """
     ensure_valid(graph)
-    q = inverse_proximity(graph)
-    n = graph.n
-    rows = []
-    for mu in range(n):
-        row = []
-        for nu in range(n):
-            qmu, qnu = q[mu], q[nu]
-            row.append(sum(qmu[k] * qnu[k] for k in range(min(mu, nu) + 1)))
-        rows.append(tuple(row))
+    rows: list[tuple[int, ...]] = []
+    for targets, row in zip(graph.prox, zip(*inverse_proximity(graph))):
+        for nu in targets:
+            row = tuple(map(operator.add, row, rows[nu - 1]))
+        rows.append(row)
     return ValuationTable(tuple(rows))
 
 

@@ -34,7 +34,12 @@ def cusp_graph(cusp_ideal):
 
 
 def random_blowup_graph(rng: random.Random, n: int, satellite_bias=0.5) -> ResolutionGraph:
-    """Random valid graph built as an actual blowup sequence.
+    """Random valid graph built as an actual blowup sequence."""
+    return random_blowup_sequence(rng, n, satellite_bias)[0]
+
+
+def random_blowup_sequence(rng: random.Random, n: int, satellite_bias=0.5):
+    """Random blowup sequence: the graph and its simulated dual-graph edges.
 
     A new point sits either at a free point of one exceptional curve or at
     an intersection point of two; the running set of intersection pairs is
@@ -53,7 +58,7 @@ def random_blowup_graph(rng: random.Random, n: int, satellite_bias=0.5) -> Resol
             a = rng.randint(1, mu - 1)
             prox[mu] = (a,)
             edges.append((a, mu))
-    return ResolutionGraph.build(n, prox)
+    return ResolutionGraph.build(n, prox), frozenset(edges)
 
 
 def random_curve_graph(rng: random.Random, n: int, end_satellite=False) -> ResolutionGraph:

@@ -14,9 +14,10 @@ from jumpnum import (
     is_free,
     proximity_matrix,
     validate,
+    valuation_table,
 )
 
-from conftest import random_blowup_graph
+from conftest import random_blowup_graph, random_blowup_sequence
 
 
 def test_root_only_graph_is_valid():
@@ -202,3 +203,102 @@ def test_random_blowup_graphs_are_valid_and_match_simulated_adjacency():
         assert validate(graph) == []
         expected = frozenset(tuple(sorted(e)) for e in edges)
         assert adjacency(graph).edges == expected
+
+
+def _reference_form(graph):
+    """P^t P, entry by entry from the dense proximity matrix."""
+    n = graph.n
+    p = [[1 if i == j else -(j + 1 in graph.prox[i]) for j in range(n)] for i in range(n)]
+    return [[sum(p[k][i] * p[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def _reference_validate(graph):
+    """Validation on the dense intersection form, every entry checked."""
+    out = []
+    n = graph.n
+    if graph.prox[0]:
+        out.append("vertex 1 is the root and must be proximate to no vertex")
+    for mu in range(2, n + 1):
+        targets = graph.prox[mu - 1]
+        if not targets:
+            out.append(f"vertex {mu} proximate to no vertex")
+        if len(targets) > 2:
+            out.append(f"vertex {mu} proximate to {len(targets)} vertices, at most two allowed")
+        for nu in targets:
+            if not 1 <= nu < mu:
+                out.append(f"vertex {mu} proximate to {nu}, which is not an earlier vertex")
+    if out:
+        return out
+    form = _reference_form(graph)
+    edges = set()
+    for mu in range(1, n + 1):
+        for nu in range(mu + 1, n + 1):
+            entry = form[mu - 1][nu - 1]
+            if entry == -1:
+                edges.add((mu, nu))
+            elif entry != 0:
+                out.append(
+                    f"intersection form entry {entry} between vertices {mu} and {nu}, "
+                    "expected 0 or -1"
+                )
+    if out:
+        return out
+    if len(edges) != n - 1:
+        out.append(f"dual graph has {len(edges)} edges, a tree on {n} vertices needs {n - 1}")
+    seen = {1}
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        for a, b in edges:
+            w = b if a == v else a if b == v else None
+            if w is not None and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n:
+        out.append("dual graph is not connected")
+    return out
+
+
+def test_validate_and_adjacency_match_the_dense_form():
+    rng = random.Random(2024)
+    valid = invalid = 0
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        prox = {
+            mu: tuple(rng.randint(1, mu - 1) for _ in range(rng.randint(1, 2)))
+            for mu in range(2, n + 1)
+        }
+        graph = ResolutionGraph.build(n, prox)
+        expected = _reference_validate(graph)
+        assert validate(graph) == expected
+        if expected:
+            invalid += 1
+            continue
+        valid += 1
+        form = _reference_form(graph)
+        dual = adjacency(graph)
+        assert dual.neighbors == tuple(
+            tuple(nu + 1 for nu, entry in enumerate(row) if entry == -1) for row in form
+        )
+        assert dual.weights == tuple(form[mu][mu] for mu in range(n))
+        assert intersection_form(graph) == tuple(map(tuple, form))
+    assert valid > 100 and invalid > 100
+
+
+@pytest.mark.parametrize("bias", [0.3, 0.8])
+def test_graph_layer_at_four_hundred_vertices(bias):
+    graph, edges = random_blowup_sequence(random.Random(400), 400, bias)
+    assert validate(graph) == []
+    assert adjacency(graph).edges == edges
+    table = valuation_table(graph).matrix
+    assert table == tuple(zip(*table))
+
+
+def test_graph_equality_and_hash_do_not_depend_on_construction():
+    built = ResolutionGraph.build(3, {2: (1,), 3: (2, 1)})
+    direct = ResolutionGraph(3, ((), [1], (1, 2, 2)))
+    assert built == direct
+    assert hash(built) == hash(direct) == hash((3, ((), (1,), (1, 2))))
+    assert {built: "cusp"}[direct] == "cusp"
+    assert repr(built) == "ResolutionGraph(n=3, prox=((), (1,), (1, 2)))"
+    assert built != ResolutionGraph.build(3, {2: (1,), 3: (2,)})

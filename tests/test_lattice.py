@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -251,6 +252,16 @@ def test_table_is_inverse_of_intersection_form():
         )
         assert product == identity
         assert table == tuple(tuple(row) for row in zip(*table))
+
+
+def test_valuation_table_is_q_times_q_transpose():
+    rng = random.Random(53)
+    for bias in (0.3, 0.8):
+        for n in [rng.randint(1, 120) for _ in range(8)] + [120]:
+            graph = random_blowup_graph(rng, n, bias)
+            q = inverse_proximity(graph)
+            expected = tuple(tuple(sum(map(operator.mul, a, b)) for b in q) for a in q)
+            assert valuation_table(graph).matrix == expected
 
 
 def _reference_closure(coords, graph):
