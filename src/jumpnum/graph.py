@@ -12,12 +12,13 @@ is unipotent lower triangular and inverts by forward substitution over the
 integers.  The intersection form P^t P is kept sparse: a point has at
 most two earlier targets, so its O(n) nonzero off-diagonal entries come
 straight from the proximities and the dual graph in linear time.
+Validity is computed once per graph object and cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "ResolutionGraph",
@@ -65,7 +66,7 @@ class ResolutionGraph:
             raise ValueError("vertex count must be positive")
         if len(self.prox) != self.n:
             raise ValueError("prox must list one entry per vertex")
-        norm = tuple(tuple(sorted(set(map(int, entry)))) for entry in self.prox)
+        norm = tuple(tuple(sorted(set(map(_integral, entry)))) for entry in self.prox)
         object.__setattr__(self, "prox", norm)
         object.__setattr__(self, "_hash", hash((self.n, norm)))
 
@@ -81,6 +82,11 @@ class ResolutionGraph:
     def prox_of(self, mu: int) -> tuple[int, ...]:
         _check_vertex(self, mu)
         return self.prox[mu - 1]
+
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """What :func:`validate` reports, computed once per instance."""
+        return tuple(validate(self))
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,13 @@ def _check_vertex(graph: ResolutionGraph, mu: int) -> None:
         raise ValueError(f"vertex out of range: {mu}")
 
 
+def _integral(x) -> int:
+    """x as an int; a ValueError unless it is integral."""
+    if int(x) != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def is_free(graph: ResolutionGraph, mu: int) -> bool:
     """A point is free when it is proximate to at most one earlier point."""
     _check_vertex(graph, mu)
@@ -189,15 +202,9 @@ def validate(graph: ResolutionGraph) -> list[str]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _violations(graph: ResolutionGraph) -> tuple[str, ...]:
-    return tuple(validate(graph))
-
-
 def ensure_valid(graph: ResolutionGraph) -> None:
-    violations = _violations(graph)
-    if violations:
-        raise InvalidGraphError(violations)
+    if graph.violations:
+        raise InvalidGraphError(graph.violations)
 
 
 def proximity_matrix(graph: ResolutionGraph) -> Matrix:

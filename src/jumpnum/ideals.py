@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import pairwise
 
-from .graph import ResolutionGraph, ensure_valid
+from .graph import ResolutionGraph, _integral, ensure_valid
 from .lattice import ValuationTable, valuation_table
 
 __all__ = ["IdealSpec", "JumpingSet"]
@@ -23,7 +23,7 @@ class IdealSpec:
     """A complete finite-colength ideal given by its resolution.
 
     ``factorization`` holds the exponents of the simple-ideal factors,
-    one per vertex; it must be nonnegative and not identically zero.
+    one per vertex; they must be integral, nonnegative and not all zero.
     """
 
     graph: ResolutionGraph
@@ -31,7 +31,7 @@ class IdealSpec:
 
     def __post_init__(self):
         ensure_valid(self.graph)
-        fac = tuple(int(x) for x in self.factorization)
+        fac = tuple(map(_integral, self.factorization))
         if len(fac) != self.graph.n:
             raise ValueError("factorization length does not match the graph")
         if any(x < 0 for x in fac):

@@ -4,19 +4,19 @@ A positive rational is a jumping number supported at a vertex exactly
 when an integer score -- the scaled candidate plus a valence correction,
 minus one rounded-up term per branch -- lands in the vertex semigroup.
 Candidates at a vertex all have the vertex's valuation as denominator, so
-each support vertex is a plain scan over numerators.
+each support vertex is a plain scan over numerators.  A vertex's context
+is built afresh per call, with no cache.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
-from .graph import adjacency, branch
+from .graph import _check_vertex, adjacency, branch
 from .ideals import IdealSpec, JumpingSet
 from .lattice import canonical
-from .semigroups import branch_gcd, membership, vertex_semigroup
+from .semigroups import _end_gcd, _vertex_semigroup, membership
 
 __all__ = [
     "ceil_positive",
@@ -36,23 +36,24 @@ def ceil_positive(x) -> int:
 
 def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
     """Factorization-weighted valuation mass of the branch from mu towards nu."""
-    v = ideal.table
-    fac = ideal.factorization
-    return sum(fac[i - 1] * v.entry(mu, i) for i in branch(ideal.graph, mu, nu))
+    return _mass(ideal, mu, branch(ideal.graph, mu, nu))
 
 
-@lru_cache(maxsize=4096)
+def _mass(ideal: IdealSpec, mu: int, component) -> int:
+    return sum(ideal.factorization[i - 1] * ideal.table.entry(mu, i) for i in component)
+
+
 def _vertex_context(ideal: IdealSpec, mu: int):
     """d_mu, the valence offset, one (s, w, s*d_mu) triple per branch (s its
-    gcd, w its value) and the vertex semigroup."""
-    dual = adjacency(ideal.graph)
+    gcd, w its value) and the vertex semigroup, from one walk per branch."""
+    _check_vertex(ideal.graph, mu)
+    dual, table = adjacency(ideal.graph), ideal.table
     d_mu = ideal.valuations[mu - 1]
-    terms = []
-    for nu in dual.neighbors_of(mu):
-        s = branch_gcd(ideal.table, ideal.graph, mu, nu)
-        terms.append((s, branch_value(ideal, mu, nu), s * d_mu))
-    offset = (dual.valence(mu) - 2) * ideal.table.entry(mu, mu)
-    return d_mu, offset, tuple(terms), vertex_semigroup(ideal.table, ideal.graph, mu)
+    components = [branch(ideal.graph, mu, nu) for nu in dual.neighbors_of(mu)]
+    gcds = [_end_gcd(table, dual, mu, c) for c in components]
+    terms = tuple((s, _mass(ideal, mu, c), s * d_mu) for s, c in zip(gcds, components))
+    offset = (len(gcds) - 2) * table.entry(mu, mu)
+    return d_mu, offset, terms, _vertex_semigroup(table.entry(mu, mu), gcds)
 
 
 def _scores(offset: int, terms, ts: range) -> list[int]:
@@ -82,23 +83,9 @@ def jump_test_value(ideal: IdealSpec, mu: int, xi: Fraction) -> int:
     return _scores(offset, terms, range(t, t + 1))[0]
 
 
-def _semigroup_scan(ideal: IdealSpec, mu: int, bound: Fraction) -> list[int]:
-    """Numerators t of the jumping numbers t/d_mu <= bound supported at mu."""
-    d_mu, offset, terms, semigroup = _vertex_context(ideal, mu)
-    ts = range(1, math.floor(bound * d_mu) + 1)
-    return [t for t, x in zip(ts, _scores(offset, terms, ts)) if membership(semigroup, x)]
-
-
 def jumping_numbers_at(ideal: IdealSpec, mu: int, bound) -> JumpingSet:
     """Jumping numbers supported at one vertex, up to and including bound."""
-    bound = Fraction(bound)
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    d_mu = ideal.valuations[mu - 1]
-    support = frozenset({mu})
-    return JumpingSet(
-        tuple((Fraction(t, d_mu), support) for t in _semigroup_scan(ideal, mu, bound))
-    )
+    return _scan(ideal, [mu], bound)
 
 
 def support_vertices(ideal: IdealSpec) -> frozenset:
@@ -114,15 +101,23 @@ def support_vertices(ideal: IdealSpec) -> frozenset:
 
 def jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
     """All jumping numbers up to the bound, with supporting vertices."""
+    return _scan(ideal, sorted(support_vertices(ideal)), bound)
+
+
+def _scan(ideal: IdealSpec, vertices, bound) -> JumpingSet:
+    """Jumping numbers up to the bound supported at the given vertices."""
     bound = Fraction(bound)
-    support = sorted(support_vertices(ideal))
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    contexts = {mu: _vertex_context(ideal, mu) for mu in vertices}
     # t/d_mu == key/lcm with key = t*(lcm // d_mu): an exact integer sort key.
-    lcm = math.lcm(*(ideal.valuations[mu - 1] for mu in support))
+    lcm = math.lcm(*(context[0] for context in contexts.values()))
     merged: dict[int, list] = {}
-    for mu in support:
-        scale = lcm // ideal.valuations[mu - 1]
-        for t in _semigroup_scan(ideal, mu, bound):
-            merged.setdefault(t * scale, []).append(mu)
+    for mu, (d_mu, offset, terms, semigroup) in contexts.items():
+        ts = range(1, math.floor(bound * d_mu) + 1)
+        found = [t for t, x in zip(ts, _scores(offset, terms, ts)) if membership(semigroup, x)]
+        for t in found:
+            merged.setdefault(t * (lcm // d_mu), []).append(mu)
     return JumpingSet(
         tuple((Fraction(key, lcm), frozenset(merged[key])) for key in sorted(merged))
     )

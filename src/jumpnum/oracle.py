@@ -82,15 +82,19 @@ def jumping_number_of_divisor(ideal: IdealSpec, divisor: Divisor):
     if not is_antinef(divisor, ideal.graph):
         raise ValueError("divisor is not antinef")
     e = to_basis(divisor, Basis.E, ideal.graph).int_coords()
-    k = canonical(ideal.graph).k
-    # (numerator, valuation) per vertex; the least ratio by cross-multiplying
-    pairs = [(f + kv + 1, d) for f, kv, d in zip(e, k, ideal.valuations)]
+    a, b, support = _least_ratio(e, canonical(ideal.graph).k, ideal.valuations)
+    return Fraction(a, b), support
+
+
+def _least_ratio(e, k, valuations):
+    """Least (e_i + k_i + 1) / d_i as (numerator, denominator, argmin set)."""
+    pairs = [(f + kv + 1, d) for f, kv, d in zip(e, k, valuations)]
     a, b = pairs[0]
     for x, d in pairs:
         if x * b < a * d:
             a, b = x, d
     support = frozenset(nu for nu, (x, d) in enumerate(pairs, start=1) if x * b == a * d)
-    return Fraction(a, b), support
+    return a, b, support
 
 
 def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
@@ -125,8 +129,7 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
     for key in keys:
         before = closure(_floors(ideal.valuations, key, lcm, left=True))
         if closure(_floors(ideal.valuations, key, lcm)) != before:
-            _, support = jumping_number_of_divisor(ideal, Divisor(before, Basis.E))
-            entries.append((Fraction(key, lcm), support))
+            entries.append((Fraction(key, lcm), _least_ratio(before, k, ideal.valuations)[2]))
     return JumpingSet(tuple(entries))
 
 

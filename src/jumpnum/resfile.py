@@ -14,9 +14,7 @@ so parse/serialize round trips are byte identical on canonical files.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .graph import ResolutionGraph, validate
+from .graph import ResolutionGraph, _integral, validate
 from .lattice import valuation_table
 
 __all__ = [
@@ -125,13 +123,14 @@ def proximity_from_valuation(matrix) -> ResolutionGraph:
     """Recover the proximity structure whose valuation table is ``matrix``.
 
     The valuation table factors as Q Q^t with Q the inverse proximity
-    matrix, which is the unique unipotent lower-triangular factor.  We
-    compute that factor exactly, invert it, and read the proximity sets
-    off the -1 pattern.  Any failure along the way (non-integral factor,
-    diagonal not one, inverse entries outside {0, -1}, invalid graph, or a
-    table that does not reproduce) rejects the input.
+    matrix, the unique unipotent lower-triangular factor.  With a unit
+    diagonal, that factor and its inverse need no division.  The proximity
+    sets are the -1 pattern of the inverse.  Any failure along the way
+    (non-integral entries, diagonal not one, negative factor entries,
+    inverse entries outside {0, -1}, invalid graph, or a table that does
+    not reproduce) rejects the input.
     """
-    rows = [tuple(int(x) for x in row) for row in matrix]
+    rows = [tuple(map(_integral, row)) for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("valuation matrix must be square")
@@ -140,31 +139,29 @@ def proximity_from_valuation(matrix) -> ResolutionGraph:
             if rows[i][j] != rows[j][i]:
                 raise ValueError("valuation matrix must be symmetric")
 
-    # Unipotent Cholesky-style factorization, exact.
-    q = [[Fraction(0)] * n for _ in range(n)]
+    # Unipotent Cholesky-style factorization: q[j][j] == 1 for j < i.
+    q = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
-            acc = rows[i][j] - sum(q[i][k] * q[j][k] for k in range(j))
-            q[i][j] = acc / q[j][j]
+            q[i][j] = rows[i][j] - sum(q[i][k] * q[j][k] for k in range(j))
         diag_sq = rows[i][i] - sum(q[i][k] ** 2 for k in range(i))
         if diag_sq != 1:
             raise ValueError(
                 f"not a valuation table: unipotent factor fails at vertex {i + 1}"
             )
-        q[i][i] = Fraction(1)
+        q[i][i] = 1
     for i in range(n):
         for j in range(i):
-            if q[i][j].denominator != 1 or q[i][j] < 0:
+            if q[i][j] < 0:
                 raise ValueError(
-                    "not a valuation table: factor has a non-integer "
-                    f"or negative entry at ({i + 1}, {j + 1})"
+                    f"not a valuation table: factor has a negative entry at ({i + 1}, {j + 1})"
                 )
 
     # Invert the unit lower-triangular factor; the result must be a
     # proximity matrix.
-    p = [[Fraction(0)] * n for _ in range(n)]
+    p = [[0] * n for _ in range(n)]
     for i in range(n):
-        p[i][i] = Fraction(1)
+        p[i][i] = 1
         for j in range(i - 1, -1, -1):
             p[i][j] = -sum(q[i][k] * p[k][j] for k in range(j, i))
     prox: dict[int, tuple[int, ...]] = {}

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import ResolutionGraph, adjacency, branch
+from .graph import DualGraph, ResolutionGraph, _check_vertex, adjacency, branch
 from .lattice import ValuationTable
 
 __all__ = [
@@ -44,7 +44,7 @@ class NumericalSemigroup:
         return membership(self, x)
 
     def gcd(self) -> int:
-        return math.gcd(*self.generators) if len(self.generators) > 1 else self.generators[0]
+        return math.gcd(*self.generators)
 
     @cached_property
     def apery(self) -> tuple[int | None, ...]:
@@ -97,10 +97,11 @@ def branch_gcd(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) 
     emanating from mu towards nu."""
     if mu == nu:
         raise ValueError("the branch from a vertex towards itself is empty")
-    component = branch(graph, mu, nu)
-    dual = adjacency(graph)
-    end_values = [table.entry(mu, tau) for tau in component if dual.valence(tau) <= 1]
-    return math.gcd(*end_values) if len(end_values) > 1 else end_values[0]
+    return _end_gcd(table, adjacency(graph), mu, branch(graph, mu, nu))
+
+
+def _end_gcd(table: ValuationTable, dual: DualGraph, mu: int, component) -> int:
+    return math.gcd(*(table.entry(mu, tau) for tau in component if dual.valence(tau) <= 1))
 
 
 def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:
@@ -110,6 +111,7 @@ def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, n
     mean no nonnegative multiple is missing.  By convention the vertex
     itself yields minus its diagonal value.
     """
+    _check_vertex(graph, mu)
     if mu == nu:
         return -table.entry(mu, mu)
     dual = adjacency(graph)
@@ -123,15 +125,18 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
 
     On a one-vertex graph this is the full set of nonnegative integers.
     """
+    _check_vertex(graph, mu)
     dual = adjacency(graph)
-    gens = {branch_gcd(table, graph, mu, nu) for nu in dual.neighbors_of(mu)}
-    gens.add(table.entry(mu, mu))
-    return NumericalSemigroup(tuple(sorted(gens)))
+    gcds = [_end_gcd(table, dual, mu, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
+    return _vertex_semigroup(table.entry(mu, mu), gcds)
+
+
+def _vertex_semigroup(diagonal: int, gcds) -> NumericalSemigroup:
+    return NumericalSemigroup((*gcds, diagonal))
 
 
 def value_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:
     """Semigroup of the mu-th valuation, generated by its values at the
     graph ends (including mu itself when mu is an end)."""
-    dual = adjacency(graph)
-    gens = {table.entry(mu, tau) for tau in dual.ends}
-    return NumericalSemigroup(tuple(sorted(gens)))
+    _check_vertex(graph, mu)
+    return NumericalSemigroup(tuple(table.entry(mu, tau) for tau in adjacency(graph).ends))

@@ -1,9 +1,12 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from jumpnum import (
+    IdealSpec,
+    InvalidGraphError,
     ResolutionGraph,
     adjacency,
     associated_pairs,
@@ -16,6 +19,7 @@ from jumpnum import (
     validate,
     valuation_table,
 )
+from jumpnum import graph as graph_module
 
 from conftest import random_blowup_graph, random_blowup_sequence
 
@@ -302,3 +306,28 @@ def test_graph_equality_and_hash_do_not_depend_on_construction():
     assert {built: "cusp"}[direct] == "cusp"
     assert repr(built) == "ResolutionGraph(n=3, prox=((), (1,), (1, 2)))"
     assert built != ResolutionGraph.build(3, {2: (1,), 3: (2,)})
+
+
+def test_non_integral_input_is_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        ResolutionGraph(2, ((), (1.7,)))
+    graph = ResolutionGraph(2, ((), (1.0,)))
+    assert graph == ResolutionGraph(2, ((), (1,)))
+    with pytest.raises(ValueError, match="not an integer"):
+        IdealSpec(graph, (0.5, 1.9))
+    assert IdealSpec(graph, (2.0, Fraction(4))).factorization == (2, 4)
+
+
+def test_validity_is_computed_once_per_graph(monkeypatch):
+    calls = []
+    original = graph_module.validate
+    monkeypatch.setattr(graph_module, "validate", lambda g: calls.append(g) or original(g))
+    graph = ResolutionGraph.build(3, {2: (1,), 3: (1, 2)})
+    for _ in range(3):
+        graph_module.ensure_valid(graph)
+    assert calls == [graph]
+    broken = ResolutionGraph.build(2)
+    for _ in range(2):
+        with pytest.raises(InvalidGraphError, match="proximate to no vertex"):
+            graph_module.ensure_valid(broken)
+    assert calls == [graph, broken]

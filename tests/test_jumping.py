@@ -1,14 +1,20 @@
+import gc
+import importlib
+import pkgutil
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+import jumpnum
 from jumpnum import (
     IdealSpec,
     JumpingSet,
     ResolutionGraph,
     adjacency,
     branch,
+    branch_gcd,
     branch_value,
     ceil_positive,
     jump_test_value,
@@ -16,7 +22,9 @@ from jumpnum import (
     jumping_numbers_at,
     log_canonical_threshold,
     support_vertices,
+    vertex_semigroup,
 )
+from jumpnum import jumping, semigroups
 
 from conftest import load_fixture, random_ideal
 
@@ -208,3 +216,86 @@ def test_jumping_set_entries_sorted_and_supported(sample20_ideal):
         assert support
         for mu in support:
             assert mu in stars or sample20_ideal.factorization[mu - 1] > 0
+
+
+def test_vertex_context_matches_public_branch_functions():
+    # One walk per branch gives what the three public functions give apart.
+    ideals = [load_fixture(name) for name in ("maximal.res", "cusp.res", "sample20.res")]
+    for bias in (0.3, 0.8):
+        rng = random.Random(f"context:{bias}")
+        ideals += [random_ideal(rng, max_n=12, satellite_bias=bias) for _ in range(40)]
+    for ideal in ideals:
+        table, graph = ideal.table, ideal.graph
+        for mu in range(1, graph.n + 1):
+            d_mu, _, terms, semigroup = jumping._vertex_context(ideal, mu)
+            expected = []
+            for nu in adjacency(graph).neighbors_of(mu):
+                s = branch_gcd(table, graph, mu, nu)
+                expected.append((s, branch_value(ideal, mu, nu), s * d_mu))
+            assert list(terms) == expected
+            assert semigroup == vertex_semigroup(table, graph, mu)
+
+
+def test_jumping_numbers_walks_each_branch_once(monkeypatch, sample20_ideal):
+    walks = []
+
+    def counted(graph, mu, nu):
+        walks.append((mu, nu))
+        return branch(graph, mu, nu)
+
+    # every module that walks branches for the scan
+    for module in (jumping, semigroups):
+        monkeypatch.setattr(module, "branch", counted)
+    rng = random.Random(151)
+    for ideal in (sample20_ideal, *(random_ideal(rng, max_n=12) for _ in range(20))):
+        walks.clear()
+        jumping_numbers(ideal, 1)
+        dual = adjacency(ideal.graph)
+        expected = [(mu, nu) for mu in sorted(support_vertices(ideal))
+                    for nu in dual.neighbors_of(mu)]
+        assert walks == expected
+
+
+def test_only_the_per_graph_caches_are_module_level():
+    modules = [importlib.import_module(f"jumpnum.{info.name}")
+               for info in pkgutil.iter_modules(jumpnum.__path__)]
+    cached = {
+        id(value): f"{value.__module__}.{value.__name__}"
+        for module in (jumpnum, *modules)
+        for value in vars(module).values()
+        if hasattr(value, "cache_info")
+    }
+    assert sorted(cached.values()) == [
+        "jumpnum.graph.adjacency",
+        "jumpnum.graph.inverse_proximity",
+        "jumpnum.lattice.valuation_table",
+    ]
+
+
+def test_no_ideal_outlives_a_query(cusp_graph):
+    queries = (lambda ideal: jumping_numbers(ideal, 2),
+               lambda ideal: jump_test_value(ideal, 3, Fraction(5, 6)))
+    for multiplicity, query in enumerate(queries, start=11):
+        # a multiplicity no other test uses, so no equal ideal is cached
+        ideal = IdealSpec(cusp_graph, (0, 0, multiplicity))
+        query(ideal)
+        ref = weakref.ref(ideal)
+        del ideal
+        gc.collect()
+        assert ref() is None
+
+
+def test_vertex_out_of_range_is_rejected(maximal_ideal, cusp_ideal):
+    # 0 and -1 used to read the last vertex
+    for ideal in (maximal_ideal, cusp_ideal):
+        for mu in (0, -1, ideal.graph.n + 1):
+            with pytest.raises(ValueError, match="vertex out of range"):
+                jumping_numbers_at(ideal, mu, 3)
+            with pytest.raises(ValueError, match="vertex out of range"):
+                jump_test_value(ideal, mu, Fraction(5, 6))
+
+
+def test_jumping_numbers_rejects_nonpositive_bounds(cusp_ideal):
+    for bound in (0, -1, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            jumping_numbers(cusp_ideal, bound)

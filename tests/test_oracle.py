@@ -183,3 +183,14 @@ def test_oracle_scan_equals_pointwise_jump_test():
         )
         expected = [xi for xi in candidates if is_jumping_number(ideal, xi)]
         assert list(oracle_jumping_numbers(ideal, 2).values()) == expected
+
+
+def test_oracle_scan_supports_match_the_left_divisor():
+    # The scan reads supports off the left-limit closure without the
+    # antinef check and basis change of the public function.
+    rng = random.Random(157)
+    for _ in range(20):
+        ideal = random_ideal(rng, max_n=8)
+        for xi, support in oracle_jumping_numbers(ideal, 2):
+            realized, expected = jumping_number_of_divisor(ideal, _left_divisor(ideal, xi))
+            assert (realized, support) == (xi, expected)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from jumpnum import (
@@ -106,6 +108,21 @@ def test_proximity_from_valuation_rejects_bad_input():
         proximity_from_valuation(((1, 1), (2, 2)))
     with pytest.raises(ValueError):
         proximity_from_valuation(((1, 0), (0, 1)))  # disconnected
+
+
+def test_proximity_from_valuation_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="not an integer"):
+        proximity_from_valuation(((1, 1.9), (1.2, 2.7)))
+    graph = proximity_from_valuation(((1.0, Fraction(1)), (1, 2.0)))
+    assert graph.prox == ((), (1,))
+
+
+def test_proximity_from_valuation_rejections_keep_their_order():
+    with pytest.raises(ValueError, match="negative entry at \\(2, 1\\)"):
+        proximity_from_valuation(((1, -1), (-1, 2)))
+    # the factor fails at vertex 3 before the negative entry at (2, 1) is read
+    with pytest.raises(ValueError, match="unipotent factor fails at vertex 3"):
+        proximity_from_valuation(((1, -1, 0), (-1, 2, 0), (0, 0, 2)))
 
 
 def test_checked_in_sample20_matches_generator():

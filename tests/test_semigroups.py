@@ -276,3 +276,15 @@ def test_frobenius_multiple_maximality_bruteforce():
                 else:
                     assert not absent
                     assert multiple == -s
+
+
+def test_vertex_out_of_range_is_rejected(cusp):
+    # 0 and -1 used to read the last vertex
+    single = ResolutionGraph(1, ((),))
+    for graph, table in (cusp, (single, valuation_table(single))):
+        for mu in (0, -1, graph.n + 1):
+            for call in (vertex_semigroup, value_semigroup):
+                with pytest.raises(ValueError, match="vertex out of range"):
+                    call(table, graph, mu)
+            with pytest.raises(ValueError, match="vertex out of range"):
+                frobenius_multiple(table, graph, mu, mu)
