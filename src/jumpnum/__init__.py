@@ -26,7 +26,6 @@ from .graph import (
 from .ideals import IdealSpec, JumpingSet
 from .jumping import (
     branch_value,
-    ceil_positive,
     jump_test_value,
     jumping_numbers,
     jumping_numbers_at,
@@ -91,7 +90,6 @@ __all__ = [
     "branch_gcd",
     "branch_value",
     "canonical",
-    "ceil_positive",
     "frobenius_multiple",
     "infinitely_near",
     "intersection_form",

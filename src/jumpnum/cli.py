@@ -15,15 +15,11 @@ import sys
 from fractions import Fraction
 
 from . import sample20
-from .graph import InvalidGraphError, ResolutionGraph, validate
+from .graph import ResolutionGraph, validate
 from .ideals import IdealSpec
 from .jumping import jumping_numbers, jumping_numbers_at, log_canonical_threshold
 from .lattice import canonical
-from .resfile import ParseError, parse_resolution
-
-
-class _CliError(Exception):
-    """Input problem; message goes to stderr, exit code 1."""
+from .resfile import parse_resolution
 
 
 def _positive_fraction(text: str) -> Fraction:
@@ -99,26 +95,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> tuple[ResolutionGraph, tuple[int, ...]]:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return parse_resolution(handle.read())
     except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        return parse_resolution(text)
-    except ParseError as exc:
-        raise _CliError(f"{path}: {exc}") from None
-
-
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 1
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a parse error, or bytes that are not UTF-8
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _ideal(path: str) -> IdealSpec:
     graph, factorization = _load(path)
     try:
         return IdealSpec(graph, factorization)
-    except (ValueError, InvalidGraphError) as exc:
-        raise _CliError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _print_rows(rows) -> None:
@@ -159,16 +148,13 @@ def _cmd_semigroup(args) -> int:
     from .semigroups import branch_gcd, frobenius_multiple, vertex_semigroup
 
     ideal = _ideal(args.file)
-    mu = args.vertex
-    if not 1 <= mu <= ideal.graph.n:
-        return _fail(f"vertex out of range: {mu}")
+    mu, table = args.vertex, ideal.table
+    gens = vertex_semigroup(table, ideal.graph, mu).generators  # checks mu
     dual = adjacency(ideal.graph)
-    table = ideal.table
     for nu in dual.neighbors_of(mu):
         print(f"s {mu} {nu} {branch_gcd(table, ideal.graph, mu, nu)}")
     for nu in dual.neighbors_of(mu):
         print(f"M_frobenius {nu} {frobenius_multiple(table, ideal.graph, mu, nu)}")
-    gens = vertex_semigroup(table, ideal.graph, mu).generators
     print("S generators: " + " ".join(str(g) for g in gens))
     return 0
 
@@ -185,8 +171,6 @@ def _print_jumping(entries, fmt: str) -> None:
 def _cmd_jumping(args) -> int:
     ideal = _ideal(args.file)
     if args.vertex is not None:
-        if not 1 <= args.vertex <= ideal.graph.n:
-            return _fail(f"vertex out of range: {args.vertex}")
         found = jumping_numbers_at(ideal, args.vertex, args.bound)
     else:
         found = jumping_numbers(ideal, args.bound)
@@ -223,10 +207,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_multiplier(args) -> int:
     from .oracle import multiplier_divisor
 
-    ideal = _ideal(args.file)
-    if args.xi < 0:
-        return _fail("--xi must be nonnegative")
-    result = multiplier_divisor(ideal, args.xi)
+    result = multiplier_divisor(_ideal(args.file), args.xi)
     print(" ".join(str(int(c)) for c in result.divisor.coords))
     return 0
 
@@ -257,10 +238,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        return _fail(str(exc))
-    except InvalidGraphError as exc:
-        return _fail(f"invalid resolution graph: {exc}")
+    except ValueError as exc:  # any rejected input: parser, graph or library
+        print(exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

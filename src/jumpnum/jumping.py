@@ -19,7 +19,6 @@ from .lattice import canonical
 from .semigroups import _end_gcd, _vertex_semigroup, membership
 
 __all__ = [
-    "ceil_positive",
     "branch_value",
     "jump_test_value",
     "jumping_numbers_at",
@@ -27,11 +26,6 @@ __all__ = [
     "jumping_numbers",
     "log_canonical_threshold",
 ]
-
-
-def ceil_positive(x) -> int:
-    """Round up to the nearest positive integer."""
-    return max(math.ceil(x), 1)
 
 
 def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
@@ -73,6 +67,7 @@ def jump_test_value(ideal: IdealSpec, mu: int, xi: Fraction) -> int:
     Only candidates whose product with the vertex valuation is an integer
     are admissible; anything else is rejected rather than evaluated.
     """
+    xi = Fraction(xi)
     d_mu, offset, terms, _ = _vertex_context(ideal, mu)
     scaled = xi * d_mu
     if scaled.denominator != 1:

@@ -117,7 +117,6 @@ def valuation_table(graph: ResolutionGraph) -> ValuationTable:
     P Q = I gives P (Q Q^t) = Q^t, so row mu is column mu of Q plus the
     rows of the (at most two) vertices mu is proximate to.
     """
-    ensure_valid(graph)
     rows: list[tuple[int, ...]] = []
     for targets, row in zip(graph.prox, zip(*inverse_proximity(graph))):
         for nu in targets:
@@ -169,7 +168,6 @@ def _hat_from_star(coords, graph):
 def canonical(graph: ResolutionGraph) -> CanonicalData:
     """Canonical divisor: row sums of the inverse proximity matrix in
     E-coordinates, two minus the weight in dual coordinates."""
-    ensure_valid(graph)
     k = tuple(map(sum, inverse_proximity(graph)))
     k_hat = tuple(2 - w for w in adjacency(graph).weights)
     return CanonicalData(k, k_hat)
@@ -192,7 +190,6 @@ def antinef_closure(divisor: Divisor, graph: ResolutionGraph) -> Divisor:
     below every antinef divisor dominating the input, so the loop
     terminates at the minimum.
     """
-    ensure_valid(graph)
     e = to_basis(divisor, Basis.E, graph)
     if not e.is_integral():
         raise ValueError("antinef closure needs integral E-coordinates")

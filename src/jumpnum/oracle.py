@@ -4,7 +4,9 @@ This module detects jumping numbers the slow, definitional way: the
 multiplier ideal at a parameter is the complete ideal cut out by the
 rounded-down scaled divisor minus the canonical divisor, realized as the
 antinef closure of its effective part.  A parameter jumps exactly when
-that ideal differs from the one at the left limit.  Nothing here touches
+that ideal differs from the one at the left limit.  The scan computes
+each multiplier ideal once, warm-started from the one before it; the
+pointwise checks recompute both sides from scratch.  Nothing here touches
 the semigroup machinery or the closed formula, so agreement between the
 two pipelines is meaningful evidence for both.
 """
@@ -98,12 +100,16 @@ def _least_ratio(e, k, valuations):
 
 
 def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
-    """Scan every admissible candidate and test each for a jump.
+    """Sweep the admissible candidates in order, carrying one multiplier
+    ideal forward, and record each candidate where it shrinks.
 
     Candidates run over all vertices (not just the stars and factor
     vertices), so the scan is independent of the support argument used by
     the closed formula.  A candidate t/d is the integer key t*(L // d) over
-    L, the lcm of the valuations.
+    L, the lcm of the valuations.  Floors are constant between consecutive
+    keys, so the left limit at a key is the closure at the previous key
+    (the zero divisor, i.e. the whole ring, before the first).  Closure is
+    monotone, so that left limit also warm-starts the closure at the key.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -117,19 +123,14 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
         }
     )
     k = canonical(ideal.graph).k
-    cache: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def closure(floors):
-        result = cache.get(floors)
-        if result is None:
-            result = cache[floors] = _closure(ideal, k, floors)
-        return result
-
+    before = (0,) * len(k)
     entries = []
     for key in keys:
-        before = closure(_floors(ideal.valuations, key, lcm, left=True))
-        if closure(_floors(ideal.valuations, key, lcm)) != before:
+        floors = _floors(ideal.valuations, key, lcm)
+        at = _closure(ideal, k, tuple(map(max, floors, map(operator.add, before, k))))
+        if at != before:
             entries.append((Fraction(key, lcm), _least_ratio(before, k, ideal.valuations)[2]))
+        before = at
     return JumpingSet(tuple(entries))
 
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jumpnum import ParseError, parse_resolution
 from jumpnum.cli import main
 
 from conftest import FIXTURES
@@ -162,6 +168,77 @@ def test_vertex_out_of_range(capsys):
     code, out, err = run(capsys, "jumping", CUSP, "--vertex", "9")
     assert code == 1
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("vertex", ["0", "-1", "4"])
+def test_semigroup_vertex_out_of_range(capsys, vertex):
+    code, out, err = run(capsys, "semigroup", CUSP, "--vertex", vertex)
+    assert (code, out, err) == (1, "", f"vertex out of range: {vertex}\n")
+
+
+def test_negative_xi_exits_one(capsys):
+    code, out, err = run(capsys, "multiplier", CUSP, "--xi", "-1")
+    assert (code, out, err) == (1, "", "parameter must be nonnegative\n")
+
+
+def test_invalid_graph_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.res"
+    bad.write_text("N 4\nP 2 1\nP 3 1\nP 4 2 3\nD 1 0 0 0\n")
+    code, out, err = run(capsys, "jumping", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{bad}: ")
+
+
+def test_undecodable_file_names_the_file(tmp_path, capsys):
+    bad = tmp_path / "bad.res"
+    bad.write_bytes(b"N 1\n\xff D 1\n")
+    code, out, err = run(capsys, "lct", str(bad))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"{bad}: ")
+
+
+# Text that looks like a resolution file often enough to reach the library:
+# any text, a header over random lines, or a whole file with random entries.
+_WORDS = st.lists(st.integers(-1, 3).map(str) | st.sampled_from(["x", "1/2"]), max_size=4)
+_LINES = st.builds(lambda key, words: " ".join((key, *words)),
+                   st.sampled_from(["P", "D", "X", "#"]), _WORDS)
+
+
+@st.composite
+def _files(draw):
+    n = draw(st.integers(1, 5))
+    lines = [f"N {n}"]
+    for mu in range(2, n + 1):
+        targets = draw(st.lists(st.integers(1, mu - 1), min_size=1, max_size=2, unique=True))
+        lines.append(" ".join(map(str, ("P", mu, *targets))))
+    entries = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    lines.append(" ".join(map(str, ("D", *entries))))
+    return "\n".join(lines)
+
+
+_TEXTS = (
+    st.text(st.characters(codec="utf-8"), max_size=60)
+    | st.builds(lambda n, lines: "\n".join((f"N {n}", *lines)),
+                st.integers(0, 3), st.lists(_LINES, max_size=5))
+    | _files()
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_TEXTS)
+def test_arbitrary_text_never_raises(text):
+    try:
+        parse_resolution(text)
+    except ParseError:
+        pass
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "fuzz.res"
+        path.write_text(text, encoding="utf-8")
+        for argv in (["validate"], ["lct"], ["jumping", "--bound", "1"],
+                     ["semigroup", "--vertex", "2"]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([argv[0], str(path), *argv[1:]]) in (0, 1)
 
 
 def test_bad_bound_exits_one(capsys):

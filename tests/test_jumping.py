@@ -16,7 +16,6 @@ from jumpnum import (
     branch,
     branch_gcd,
     branch_value,
-    ceil_positive,
     jump_test_value,
     jumping_numbers,
     jumping_numbers_at,
@@ -29,13 +28,6 @@ from jumpnum import jumping, semigroups
 from conftest import load_fixture, random_ideal
 
 
-def test_ceil_positive():
-    assert ceil_positive(Fraction(0)) == 1
-    assert ceil_positive(Fraction(7, 3)) == 3
-    assert ceil_positive(Fraction(-5, 4)) == 1
-    assert ceil_positive(2) == 2
-
-
 def test_branch_value_sample20(sample20_ideal):
     assert [branch_value(sample20_ideal, 1, nu) for nu in (3, 10, 16, 20)] == [16, 6, 6, 3]
     assert [branch_value(sample20_ideal, 3, nu) for nu in (1, 2, 9)] == [30, 0, 48]
@@ -43,6 +35,8 @@ def test_branch_value_sample20(sample20_ideal):
 
 def test_jump_test_value_cusp(cusp_ideal):
     assert jump_test_value(cusp_ideal, 3, Fraction(5, 6)) == 0
+    # a float goes through Fraction, as in the other entry points
+    assert jump_test_value(cusp_ideal, 3, 0.5) == jump_test_value(cusp_ideal, 3, Fraction(1, 2)) == -2
 
 
 def test_jump_test_value_sample20(sample20_ideal):

@@ -8,13 +8,16 @@ import pytest
 from jumpnum import (
     Basis,
     Divisor,
+    InvalidGraphError,
     ResolutionGraph,
     adjacency,
     antinef_closure,
+    associated_pairs,
     canonical,
     intersection_form,
     inverse_proximity,
     is_antinef,
+    proximity_matrix,
     to_basis,
     valuation_ratio,
     valuation_table,
@@ -26,6 +29,32 @@ from conftest import random_blowup_graph
 
 def fractions(*values):
     return tuple(Fraction(v) for v in values)
+
+
+_ZERO = Divisor((0, 0, 0), Basis.E)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        adjacency,
+        inverse_proximity,
+        proximity_matrix,
+        valuation_table,
+        canonical,
+        lambda graph: to_basis(_ZERO, Basis.E_HAT, graph),
+        lambda graph: antinef_closure(_ZERO, graph),
+        lambda graph: associated_pairs(graph, 3),
+    ],
+    ids=["adjacency", "inverse_proximity", "proximity_matrix", "valuation_table",
+         "canonical", "to_basis", "antinef_closure", "associated_pairs"],
+)
+def test_graph_functions_reject_invalid_graphs(call):
+    # vertex 2 is proximate to no vertex
+    broken = ResolutionGraph.build(3, {2: (), 3: (1, 2)})
+    with pytest.raises(InvalidGraphError) as info:
+        call(broken)
+    assert str(info.value) == "; ".join(broken.violations)
 
 
 def test_valuation_table_two_chain():

@@ -8,6 +8,7 @@ import math
 from jumpnum import (
     Basis,
     Divisor,
+    IdealSpec,
     NumericalSemigroup,
     adjacency,
     canonical,
@@ -21,7 +22,7 @@ from jumpnum import (
     to_basis,
 )
 
-from conftest import random_ideal
+from conftest import random_blowup_graph, random_ideal
 
 
 def test_multiplier_divisor_maximal(maximal_ideal):
@@ -174,15 +175,39 @@ def test_integer_floors_match_fraction_floors():
         assert _floors((d,), p * 7, q * 7, left=True) == (left,)
 
 
+def _candidates(ideal, bound):
+    return sorted(
+        {Fraction(t, d) for d in ideal.valuations for t in range(1, int(bound * d) + 1)}
+    )
+
+
 def test_oracle_scan_equals_pointwise_jump_test():
+    # The sweep warm-starts each closure from the previous one; the
+    # pointwise test recomputes both sides cold.
     rng = random.Random(149)
-    for _ in range(20):
-        ideal = random_ideal(rng, max_n=7)
-        candidates = sorted(
-            {Fraction(t, d) for d in ideal.valuations for t in range(1, 2 * d + 1)}
-        )
-        expected = [xi for xi in candidates if is_jumping_number(ideal, xi)]
-        assert list(oracle_jumping_numbers(ideal, 2).values()) == expected
+    cases = [(random_ideal(rng, max_n=7), 2) for _ in range(20)]
+    for _ in range(8):  # satellite-rich ideals with large valuations
+        n = rng.randint(10, 20)
+        graph = random_blowup_graph(rng, n, satellite_bias=0.8)
+        cases.append((IdealSpec(graph, (0,) * (n - 1) + (1,)), 1))
+    for ideal, bound in cases:
+        expected = [xi for xi in _candidates(ideal, bound) if is_jumping_number(ideal, xi)]
+        assert list(oracle_jumping_numbers(ideal, bound).values()) == expected
+
+
+def test_oracle_scan_makes_one_closure_per_candidate(monkeypatch, sample20_ideal):
+    import jumpnum.oracle as oracle_module
+
+    calls = []
+    original = oracle_module.antinef_closure
+    monkeypatch.setattr(
+        oracle_module, "antinef_closure", lambda *args: calls.append(1) or original(*args)
+    )
+    rng = random.Random(151)
+    for ideal, bound in [(sample20_ideal, 1)] + [(random_ideal(rng), 2) for _ in range(10)]:
+        calls.clear()
+        oracle_jumping_numbers(ideal, bound)
+        assert len(calls) == len(_candidates(ideal, bound))
 
 
 def test_oracle_scan_supports_match_the_left_divisor():
