@@ -22,16 +22,6 @@ from .lattice import canonical
 from .resfile import parse_resolution
 
 
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
-
-
 def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -74,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int, required=True)
 
     p = add("jumping", "jumping numbers by the closed formula")
-    p.add_argument("--bound", type=_positive_fraction, default=Fraction(2))
+    p.add_argument("--bound", type=_fraction, default=Fraction(2))
     p.add_argument("--vertex", type=int, default=None,
                    help="restrict to numbers supported at this vertex")
     p.add_argument("--format", choices=("text", "tsv"), default="text")
@@ -82,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("lct", "log-canonical threshold")
 
     p = add("oracle", "multiplier-ideal scan, compared against the closed formula")
-    p.add_argument("--bound", type=_positive_fraction, default=Fraction(2))
+    p.add_argument("--bound", type=_fraction, default=Fraction(2))
 
     p = add("multiplier", "factorization vector of the multiplier ideal")
     p.add_argument("--xi", type=_fraction, required=True)

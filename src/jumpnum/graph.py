@@ -144,9 +144,12 @@ def _check_vertex(graph: ResolutionGraph, mu: int) -> None:
 
 def _integral(x) -> int:
     """x as an int; a ValueError unless it is integral."""
-    if int(x) != x:
-        raise ValueError(f"{x!r} is not an integer")
-    return int(x)
+    try:
+        if int(x) == x:
+            return int(x)
+    except (OverflowError, ValueError):  # inf, nan, or a non-numeric string
+        pass
+    raise ValueError(f"{x!r} is not an integer")
 
 
 def is_free(graph: ResolutionGraph, mu: int) -> bool:

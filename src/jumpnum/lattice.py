@@ -5,8 +5,9 @@ transforms (E), the total transforms (E*), or the dual basis (E^) whose
 coordinates are the factorization multiplicities.  Coordinates are plain
 ints where integral and exact Fractions otherwise, so floors and ceilings
 downstream stay trustworthy.  Base changes walk the proximities and the
-inverse proximity matrix; the antinef closure unloads on the dual graph's
-weights and neighbours, without forming the intersection matrix.
+inverse proximity matrix.  The antinef closure unloads int coordinates on
+the dual graph's weights and neighbours, without the intersection matrix;
+the oracle's sweep calls the loop; ``Divisor`` is only in public functions.
 """
 
 from __future__ import annotations
@@ -193,9 +194,14 @@ def antinef_closure(divisor: Divisor, graph: ResolutionGraph) -> Divisor:
     e = to_basis(divisor, Basis.E, graph)
     if not e.is_integral():
         raise ValueError("antinef closure needs integral E-coordinates")
+    return Divisor(_unload(graph, e.coords), Basis.E)
+
+
+def _unload(graph: ResolutionGraph, coords) -> tuple[int, ...]:
+    """E-coordinates of the antinef closure of int E-coordinates, clamped."""
     dual = adjacency(graph)
     weights, neighbors = dual.weights, dual.neighbors
-    g = [max(c, 0) for c in e.coords]
+    g = [max(c, 0) for c in coords]
     ghat = [w * x for w, x in zip(weights, g)]
     for x, adj in zip(g, neighbors):
         if x:
@@ -215,7 +221,7 @@ def antinef_closure(divisor: Divisor, graph: ResolutionGraph) -> Divisor:
             ghat[nu - 1] -= step
             if ghat[nu - 1] < 0:
                 pending.append(nu - 1)
-    return Divisor(tuple(g), Basis.E)
+    return tuple(g)
 
 
 def valuation_ratio(table: ValuationTable, mu: int, gamma: int, nu: int) -> Fraction:

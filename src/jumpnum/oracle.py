@@ -5,10 +5,11 @@ multiplier ideal at a parameter is the complete ideal cut out by the
 rounded-down scaled divisor minus the canonical divisor, realized as the
 antinef closure of its effective part.  A parameter jumps exactly when
 that ideal differs from the one at the left limit.  The scan computes
-each multiplier ideal once, warm-started from the one before it; the
-pointwise checks recompute both sides from scratch.  Nothing here touches
-the semigroup machinery or the closed formula, so agreement between the
-two pipelines is meaningful evidence for both.
+each multiplier ideal once, warm-started from the one before it, by
+unloading int E-coordinates (``Divisor`` appears only in the public
+functions); the pointwise checks recompute both sides from scratch.
+Nothing here touches the semigroup machinery or the closed formula, so
+agreement between the two pipelines is meaningful evidence for both.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .graph import _integral
 from .ideals import IdealSpec, JumpingSet
-from .lattice import Basis, Divisor, antinef_closure, canonical, is_antinef, to_basis
+from .lattice import Basis, Divisor, _unload, canonical, is_antinef, to_basis
 
 __all__ = [
     "MultiplierIdealResult",
@@ -46,10 +48,9 @@ def _floors(valuations, p: int, q: int, left: bool = False) -> tuple[int, ...]:
     return tuple((p * d - shift) // q for d in valuations)
 
 
-def _closure(ideal: IdealSpec, k: tuple[int, ...], floors) -> tuple[int, ...]:
-    """E-coordinates of the antinef closure of floors - k, negatives clamped."""
-    raw = Divisor(tuple(map(operator.sub, floors, k)), Basis.E)
-    return antinef_closure(raw, ideal.graph).int_coords()
+def _closure(ideal: IdealSpec, floors) -> tuple[int, ...]:
+    """E-coordinates of the antinef closure of floors - K, negatives clamped."""
+    return _unload(ideal.graph, tuple(map(operator.sub, floors, canonical(ideal.graph).k)))
 
 
 def multiplier_divisor(ideal: IdealSpec, xi) -> MultiplierIdealResult:
@@ -57,8 +58,7 @@ def multiplier_divisor(ideal: IdealSpec, xi) -> MultiplierIdealResult:
     xi = Fraction(xi)
     if xi < 0:
         raise ValueError("parameter must be nonnegative")
-    k = canonical(ideal.graph).k
-    e_coords = _closure(ideal, k, _floors(ideal.valuations, xi.numerator, xi.denominator))
+    e_coords = _closure(ideal, _floors(ideal.valuations, xi.numerator, xi.denominator))
     hat = to_basis(Divisor(e_coords, Basis.E), Basis.E_HAT, ideal.graph)
     return MultiplierIdealResult(xi, hat)
 
@@ -68,11 +68,8 @@ def is_jumping_number(ideal: IdealSpec, xi) -> bool:
     xi = Fraction(xi)
     if xi <= 0:
         raise ValueError("parameter must be positive")
-    k = canonical(ideal.graph).k
     d, p, q = ideal.valuations, xi.numerator, xi.denominator
-    at = _closure(ideal, k, _floors(d, p, q))
-    before = _closure(ideal, k, _floors(d, p, q, left=True))
-    return at != before
+    return _closure(ideal, _floors(d, p, q)) != _closure(ideal, _floors(d, p, q, left=True))
 
 
 def jumping_number_of_divisor(ideal: IdealSpec, divisor: Divisor):
@@ -126,8 +123,8 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
     before = (0,) * len(k)
     entries = []
     for key in keys:
-        floors = _floors(ideal.valuations, key, lcm)
-        at = _closure(ideal, k, tuple(map(max, floors, map(operator.add, before, k))))
+        raw = map(operator.sub, _floors(ideal.valuations, key, lcm), k)
+        at = _unload(ideal.graph, tuple(map(max, raw, before)))
         if at != before:
             entries.append((Fraction(key, lcm), _least_ratio(before, k, ideal.valuations)[2]))
         before = at
@@ -137,7 +134,7 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
 def semigroup_bruteforce(generators, limit: int) -> list[bool]:
     """Membership table 0..limit of the monoid the generators span,
     by exhaustive closure under addition."""
-    gens = sorted(set(int(g) for g in generators))
+    gens = sorted(set(map(_integral, generators)))
     if not gens or gens[0] < 1:
         raise ValueError("generators must be positive integers")
     if limit < 0:

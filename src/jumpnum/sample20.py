@@ -37,12 +37,6 @@ FACTORIZATION: tuple[int, ...] = (
     0, 0, 0, 0, 0, 0, 0, 2, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 3,
 )
 
-# Valuation vector of the ideal: FACTORIZATION times VALUATION_MATRIX.
-VALUATIONS: tuple[int, ...] = (
-    31, 39, 78, 85, 87, 174, 261, 263, 164, 37,
-    39, 78, 117, 119, 34, 68, 70, 139, 210, 34,
-)
-
 
 def resolution_text() -> str:
     """Regenerate the canonical resolution-file text for this example."""

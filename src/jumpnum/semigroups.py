@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import DualGraph, ResolutionGraph, _check_vertex, adjacency, branch
+from .graph import DualGraph, ResolutionGraph, _check_vertex, _integral, adjacency, branch
 from .lattice import ValuationTable
 
 __all__ = [
@@ -35,7 +35,7 @@ class NumericalSemigroup:
     generators: tuple[int, ...]
 
     def __post_init__(self):
-        gens = tuple(sorted(set(int(g) for g in self.generators)))
+        gens = tuple(sorted(set(map(_integral, self.generators))))
         if not gens or gens[0] < 1:
             raise ValueError("generators must be positive integers")
         object.__setattr__(self, "generators", gens)

@@ -316,6 +316,11 @@ def test_non_integral_input_is_rejected():
     with pytest.raises(ValueError, match="not an integer"):
         IdealSpec(graph, (0.5, 1.9))
     assert IdealSpec(graph, (2.0, Fraction(4))).factorization == (2, 4)
+    assert IdealSpec(graph, (True, 0)).factorization == (1, 0)
+    # int(inf) overflows and int(nan) raises a ValueError of its own
+    for x in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            IdealSpec(ResolutionGraph.build(1), (x,))
 
 
 def test_validity_is_computed_once_per_graph(monkeypatch):

@@ -11,7 +11,6 @@ from jumpnum import (
     IdealSpec,
     NumericalSemigroup,
     adjacency,
-    canonical,
     is_jumping_number,
     jumping_number_of_divisor,
     jumping_numbers,
@@ -84,6 +83,13 @@ def test_semigroup_bruteforce_tables():
     assert all(semigroup_bruteforce((1,), 5))
 
 
+def test_semigroup_bruteforce_generators_must_be_integers():
+    for gens in ((2.5, 3), ("4", 3), (float("nan"), 3)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            semigroup_bruteforce(gens, 5)
+    assert semigroup_bruteforce((2.0, Fraction(3), True), 3) == [True] * 4
+
+
 def test_semigroup_bruteforce_matches_membership():
     rng = random.Random(113)
     for _ in range(30):
@@ -131,7 +137,7 @@ def _left_divisor(ideal, xi):
     from jumpnum.oracle import _closure, _floors
 
     floors = _floors(ideal.valuations, xi.numerator, xi.denominator, left=True)
-    return Divisor(_closure(ideal, canonical(ideal.graph).k, floors), Basis.E)
+    return Divisor(_closure(ideal, floors), Basis.E)
 
 
 def test_oracle_supports_contain_star_or_factor_vertex():
@@ -199,15 +205,29 @@ def test_oracle_scan_makes_one_closure_per_candidate(monkeypatch, sample20_ideal
     import jumpnum.oracle as oracle_module
 
     calls = []
-    original = oracle_module.antinef_closure
+    original = oracle_module._unload
     monkeypatch.setattr(
-        oracle_module, "antinef_closure", lambda *args: calls.append(1) or original(*args)
+        oracle_module, "_unload", lambda *args: calls.append(1) or original(*args)
     )
     rng = random.Random(151)
     for ideal, bound in [(sample20_ideal, 1)] + [(random_ideal(rng), 2) for _ in range(10)]:
         calls.clear()
         oracle_jumping_numbers(ideal, bound)
         assert len(calls) == len(_candidates(ideal, bound))
+
+
+def test_oracle_scan_builds_no_divisor(monkeypatch, sample20_ideal):
+    # The sweep unloads plain ints; a Divisor belongs to the public boundary.
+    built = []
+    original = Divisor.__post_init__
+    monkeypatch.setattr(Divisor, "__post_init__", lambda self: built.append(1) or original(self))
+    Divisor((0,), Basis.E)
+    assert built == [1]
+    rng = random.Random(151)
+    for ideal, bound in [(sample20_ideal, 1)] + [(random_ideal(rng), 2) for _ in range(10)]:
+        built.clear()
+        assert oracle_jumping_numbers(ideal, bound).values()
+        assert built == []
 
 
 def test_oracle_scan_supports_match_the_left_divisor():

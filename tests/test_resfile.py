@@ -115,6 +115,8 @@ def test_proximity_from_valuation_rejects_non_integral_entries():
         proximity_from_valuation(((1, 1.9), (1.2, 2.7)))
     graph = proximity_from_valuation(((1.0, Fraction(1)), (1, 2.0)))
     assert graph.prox == ((), (1,))
+    with pytest.raises(ValueError, match="inf is not an integer"):
+        proximity_from_valuation(((1, float("inf")), (float("inf"), 2)))
 
 
 def test_proximity_from_valuation_rejections_keep_their_order():

@@ -119,6 +119,13 @@ def test_membership_rejects_negative_and_non_integral_numbers():
     assert membership(NumericalSemigroup((2, 3)), Fraction(4))
 
 
+def test_generators_must_be_integers():
+    for gens in ((2.5, 3), ("4", 3), (float("inf"), 3)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            NumericalSemigroup(gens)
+    assert NumericalSemigroup((2.0, Fraction(4), True)).generators == (1, 2, 4)
+
+
 def _random_generators(rng):
     gens = {rng.randint(2, 30) for _ in range(rng.randint(1, 4))}
     kind = rng.randrange(3)
