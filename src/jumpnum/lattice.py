@@ -6,8 +6,10 @@ coordinates are the factorization multiplicities.  Coordinates are plain
 ints where integral and exact Fractions otherwise, so floors and ceilings
 downstream stay trustworthy.  Base changes walk the proximities and the
 inverse proximity matrix.  The antinef closure unloads int coordinates on
-the dual graph's weights and neighbours, without the intersection matrix;
-the oracle's sweep calls the loop; ``Divisor`` is only in public functions.
+the dual graph's weights and neighbours, without the intersection matrix.
+The unloading loop has one owner, ``_settle``: the cold ``_unload`` calls it
+on a whole divisor, and the oracle's sweep calls it on the few entries each
+candidate disturbs; ``Divisor`` is only in public functions.
 """
 
 from __future__ import annotations
@@ -200,14 +202,25 @@ def antinef_closure(divisor: Divisor, graph: ResolutionGraph) -> Divisor:
 def _unload(graph: ResolutionGraph, coords) -> tuple[int, ...]:
     """E-coordinates of the antinef closure of int E-coordinates, clamped."""
     dual = adjacency(graph)
-    weights, neighbors = dual.weights, dual.neighbors
     g = [max(c, 0) for c in coords]
-    ghat = [w * x for w, x in zip(weights, g)]
-    for x, adj in zip(g, neighbors):
+    ghat = [w * x for w, x in zip(dual.weights, g)]
+    for x, adj in zip(g, dual.neighbors):
         if x:
             for nu in adj:
                 ghat[nu - 1] -= x
-    pending = [j for j, x in enumerate(ghat) if x < 0]
+    _settle(g, ghat, [j for j, x in enumerate(ghat) if x < 0], dual)
+    return tuple(g)
+
+
+def _settle(g: list[int], ghat: list[int], pending: list[int], dual) -> None:
+    """Unload in place until ghat is nonnegative.
+
+    ``ghat`` must be the dual coordinates of ``g`` and ``pending`` must hold
+    every index where ghat is negative.  Each step raises a vertex by the
+    least amount that could clear its deficit, so g never passes an antinef
+    divisor above its start, and it ends at the closure of that start.
+    """
+    weights, neighbors = dual.weights, dual.neighbors
     while pending:
         j = pending.pop()
         deficit = -ghat[j]
@@ -221,7 +234,6 @@ def _unload(graph: ResolutionGraph, coords) -> tuple[int, ...]:
             ghat[nu - 1] -= step
             if ghat[nu - 1] < 0:
                 pending.append(nu - 1)
-    return tuple(g)
 
 
 def valuation_ratio(table: ValuationTable, mu: int, gamma: int, nu: int) -> Fraction:

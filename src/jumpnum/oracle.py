@@ -4,12 +4,15 @@ This module detects jumping numbers the slow, definitional way: the
 multiplier ideal at a parameter is the complete ideal cut out by the
 rounded-down scaled divisor minus the canonical divisor, realized as the
 antinef closure of its effective part.  A parameter jumps exactly when
-that ideal differs from the one at the left limit.  The scan computes
-each multiplier ideal once, warm-started from the one before it, by
-unloading int E-coordinates (``Divisor`` appears only in the public
-functions); the pointwise checks recompute both sides from scratch.
-Nothing here touches the semigroup machinery or the closed formula, so
-agreement between the two pipelines is meaningful evidence for both.
+that ideal differs from the one at the left limit.  The scan sweeps the
+candidates in order and carries one closure forward: at each candidate it
+raises only the vertices whose floor steps and resumes unloading from the
+entries that raise disturbs, and it reads each jump and its support off
+the raise.  The pointwise checks recompute both sides from scratch.  All
+of it unloads plain int E-coordinates (``Divisor`` appears only in the
+public functions).  Nothing here touches the semigroup machinery or the
+closed formula, so agreement between the two pipelines is meaningful
+evidence for both.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import _integral
+from .graph import _integral, adjacency
 from .ideals import IdealSpec, JumpingSet
-from .lattice import Basis, Divisor, _unload, canonical, is_antinef, to_basis
+from .lattice import Basis, Divisor, _settle, _unload, canonical, is_antinef, to_basis
 
 __all__ = [
     "MultiplierIdealResult",
@@ -102,33 +105,71 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
 
     Candidates run over all vertices (not just the stars and factor
     vertices), so the scan is independent of the support argument used by
-    the closed formula.  A candidate t/d is the integer key t*(L // d) over
-    L, the lcm of the valuations.  Floors are constant between consecutive
-    keys, so the left limit at a key is the closure at the previous key
-    (the zero divisor, i.e. the whole ring, before the first).  Closure is
-    monotone, so that left limit also warm-starts the closure at the key.
+    the closed formula.  Floors are constant between consecutive
+    candidates, so the left limit e at a candidate xi is the closure at the
+    previous one (zero, i.e. the whole ring, before the first).  At xi the
+    floor of vertex i steps by one exactly when xi*d_i is an integer; where
+    the new floor minus k_i exceeds e_i, the sweep raises that coordinate
+    by one and resumes unloading from the neighbours it disturbs.  That is
+    exact because unloading is monotone: closure(D') equals
+    closure(max(D', closure(D))) for D <= D'.
+
+    xi is a jump exactly when some vertex was raised, and the raised
+    vertices are its support, the argmin set of (e_i + k_i + 1) / d_i.
+    Proof: e_i >= ceil(xi*d_i) - 1 - k_i, the floor just below xi minus
+    k_i, so every ratio is at least xi.  Equality holds exactly where
+    xi*d_i is an integer and e_i = xi*d_i - 1 - k_i, which are the raised
+    vertices.  With none raised the closure is e again; with one raised it
+    has grown.
+    """
+    lcm = math.lcm(*ideal.valuations)
+    return JumpingSet(
+        tuple(
+            (Fraction(key, lcm), frozenset(raised))
+            for key, raised, _ in _sweep(ideal, bound)
+            if raised
+        )
+    )
+
+
+def _sweep(ideal: IdealSpec, bound):
+    """Yield (key, raised, g) at each candidate t/d up to the bound.
+
+    The key is t*(L // d) over L, the lcm of the valuations; vertices that
+    share a valuation share their keys.  ``raised`` lists the vertices
+    (1-based) whose coordinate the floors raised at the key, and ``g`` is
+    the closure there in E-coordinates, a list the sweep keeps updating.
     """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
     lcm = math.lcm(*ideal.valuations)
-    keys = sorted(
-        {
-            t * (lcm // d)
-            for d in ideal.valuations
-            for t in range(1, bound.numerator * d // bound.denominator + 1)
-        }
-    )
-    k = canonical(ideal.graph).k
-    before = (0,) * len(k)
-    entries = []
-    for key in keys:
-        raw = map(operator.sub, _floors(ideal.valuations, key, lcm), k)
-        at = _unload(ideal.graph, tuple(map(max, raw, before)))
-        if at != before:
-            entries.append((Fraction(key, lcm), _least_ratio(before, k, ideal.valuations)[2]))
-        before = at
-    return JumpingSet(tuple(entries))
+    by_value: dict[int, list[int]] = {}
+    for i, d in enumerate(ideal.valuations):
+        by_value.setdefault(d, []).append(i)
+    events: dict[int, list[int]] = {}
+    for d, vertices in by_value.items():
+        for t in range(1, bound.numerator * d // bound.denominator + 1):
+            events.setdefault(t * (lcm // d), []).extend(vertices)
+    dual = adjacency(ideal.graph)
+    weights, neighbors = dual.weights, dual.neighbors
+    raw = [-kv for kv in canonical(ideal.graph).k]  # floors minus K
+    g = [0] * len(raw)
+    ghat = [0] * len(raw)
+    for key in sorted(events):
+        raised, pending = [], []
+        for i in events[key]:
+            raw[i] += 1
+            if raw[i] > g[i]:
+                g[i] += 1
+                ghat[i] += weights[i]
+                raised.append(i + 1)
+                for nu in neighbors[i]:
+                    ghat[nu - 1] -= 1
+                    if ghat[nu - 1] < 0:
+                        pending.append(nu - 1)
+        _settle(g, ghat, pending, dual)
+        yield key, raised, g
 
 
 def semigroup_bruteforce(generators, limit: int) -> list[bool]:

@@ -115,7 +115,7 @@ def serialize_resolution(graph: ResolutionGraph, factorization) -> str:
     for mu in range(2, graph.n + 1):
         targets = " ".join(str(nu) for nu in graph.prox[mu - 1])
         out.append(f"P {mu} {targets}")
-    out.append("D " + " ".join(str(int(d)) for d in factorization))
+    out.append("D " + " ".join(str(_integral(d)) for d in factorization))
     return "\n".join(out) + "\n"
 
 

@@ -187,33 +187,71 @@ def _candidates(ideal, bound):
     )
 
 
+def _sparse_cases(rng, count):
+    """Ideals with multiplicity 2 or 3 on one to three vertices, each at
+    one of the non-integer bounds 3/2 and 5/2."""
+    cases = []
+    for _ in range(count):
+        n = rng.randint(3, 9)
+        graph = random_blowup_graph(rng, n, satellite_bias=rng.choice((0.3, 0.8)))
+        factorization = [0] * n
+        for i in rng.sample(range(n), rng.randint(1, 3)):
+            factorization[i] = rng.randint(2, 3)
+        bound = rng.choice((Fraction(3, 2), Fraction(5, 2)))
+        cases.append((IdealSpec(graph, tuple(factorization)), bound))
+    return cases
+
+
 def test_oracle_scan_equals_pointwise_jump_test():
-    # The sweep warm-starts each closure from the previous one; the
-    # pointwise test recomputes both sides cold.
+    # The sweep carries one closure forward; the pointwise test recomputes
+    # both sides cold.
     rng = random.Random(149)
     cases = [(random_ideal(rng, max_n=7), 2) for _ in range(20)]
     for _ in range(8):  # satellite-rich ideals with large valuations
         n = rng.randint(10, 20)
         graph = random_blowup_graph(rng, n, satellite_bias=0.8)
         cases.append((IdealSpec(graph, (0,) * (n - 1) + (1,)), 1))
+    cases += _sparse_cases(rng, 12)
     for ideal, bound in cases:
         expected = [xi for xi in _candidates(ideal, bound) if is_jumping_number(ideal, xi)]
         assert list(oracle_jumping_numbers(ideal, bound).values()) == expected
 
 
-def test_oracle_scan_makes_one_closure_per_candidate(monkeypatch, sample20_ideal):
-    import jumpnum.oracle as oracle_module
+def test_oracle_sweep_carries_the_closure(sample20_ideal):
+    # After every candidate the carried coordinates equal the cold closure
+    # of the floors there, and the sweep visits each candidate once.
+    from jumpnum.oracle import _closure, _floors, _sweep
 
-    calls = []
-    original = oracle_module._unload
-    monkeypatch.setattr(
-        oracle_module, "_unload", lambda *args: calls.append(1) or original(*args)
-    )
     rng = random.Random(151)
     for ideal, bound in [(sample20_ideal, 1)] + [(random_ideal(rng), 2) for _ in range(10)]:
-        calls.clear()
-        oracle_jumping_numbers(ideal, bound)
-        assert len(calls) == len(_candidates(ideal, bound))
+        lcm = math.lcm(*ideal.valuations)
+        keys = []
+        for key, _, g in _sweep(ideal, bound):
+            keys.append(Fraction(key, lcm))
+            assert tuple(g) == _closure(ideal, _floors(ideal.valuations, key, lcm))
+        assert keys == _candidates(ideal, bound)
+
+
+def test_oracle_sweep_raises_the_least_ratio_set(sample20_ideal):
+    # On the left-limit closure every ratio (e_i + k_i + 1) / d_i is at
+    # least the candidate; it equals it exactly at a jump, on the raised set.
+    from jumpnum.lattice import canonical
+    from jumpnum.oracle import _least_ratio, _sweep
+
+    rng = random.Random(163)
+    cases = [(sample20_ideal, 1)] + [(random_ideal(rng), 2) for _ in range(10)]
+    for ideal, bound in cases + _sparse_cases(rng, 12):
+        lcm = math.lcm(*ideal.valuations)
+        k = canonical(ideal.graph).k
+        before = (0,) * ideal.graph.n
+        for key, raised, g in _sweep(ideal, bound):
+            a, b, argmin = _least_ratio(before, k, ideal.valuations)
+            xi = Fraction(key, lcm)
+            assert Fraction(a, b) >= xi
+            assert (Fraction(a, b) == xi) == bool(raised)
+            if raised:
+                assert frozenset(raised) == argmin
+            before = tuple(g)
 
 
 def test_oracle_scan_builds_no_divisor(monkeypatch, sample20_ideal):
@@ -231,11 +269,11 @@ def test_oracle_scan_builds_no_divisor(monkeypatch, sample20_ideal):
 
 
 def test_oracle_scan_supports_match_the_left_divisor():
-    # The scan reads supports off the left-limit closure without the
-    # antinef check and basis change of the public function.
+    # The scan reads supports off the raise, without the closure below the
+    # jump that the public function takes.
     rng = random.Random(157)
-    for _ in range(20):
-        ideal = random_ideal(rng, max_n=8)
-        for xi, support in oracle_jumping_numbers(ideal, 2):
+    cases = [(random_ideal(rng, max_n=8), 2) for _ in range(20)] + _sparse_cases(rng, 12)
+    for ideal, bound in cases:
+        for xi, support in oracle_jumping_numbers(ideal, bound):
             realized, expected = jumping_number_of_divisor(ideal, _left_divisor(ideal, xi))
             assert (realized, support) == (xi, expected)

@@ -85,6 +85,16 @@ def test_serialize_then_parse():
     assert factorization == (0, 1, 0, 2)
 
 
+def test_serialize_rejects_non_integral_factorization():
+    graph = ResolutionGraph.build(1)
+    for bad in (2.5, float("inf"), float("nan"), "3"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            serialize_resolution(graph, (bad,))
+    # integral input of any exact type writes the same bytes as an int
+    for good in (2, 2.0, Fraction(2)):
+        assert serialize_resolution(graph, (good,)) == "N 1\nD 2\n"
+
+
 def test_proximity_from_valuation_two_chain():
     graph = proximity_from_valuation(((1, 1), (1, 2)))
     assert graph.prox == ((), (1,))
