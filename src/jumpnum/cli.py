@@ -5,7 +5,9 @@ data, jumping-number enumeration by the closed formula, the log-canonical
 threshold, the multiplier-ideal oracle with a built-in comparison against
 the closed formula, multiplier-ideal divisors, and regeneration of the
 bundled 20-vertex example.  Results go to stdout, diagnostics to stderr;
-exit codes are 0 (ok), 1 (bad input), 2 (oracle mismatch).
+exit codes are 0 (ok), 1 (bad input), 2 (oracle mismatch).  The parser is
+built once, at import; each subcommand binds its handler with
+``set_defaults``, so ``main`` only parses and calls it.
 """
 
 from __future__ import annotations
@@ -15,11 +17,13 @@ import sys
 from fractions import Fraction
 
 from . import sample20
-from .graph import ResolutionGraph, validate
+from .graph import ResolutionGraph, adjacency, inverse_proximity, proximity_matrix, validate
 from .ideals import IdealSpec
 from .jumping import jumping_numbers, jumping_numbers_at, log_canonical_threshold
-from .lattice import canonical
+from .lattice import canonical, valuation_table
+from .oracle import multiplier_divisor, oracle_jumping_numbers
 from .resfile import parse_resolution
+from .semigroups import branch_gcd, frobenius_multiple, vertex_semigroup
 
 
 def _fraction(text: str) -> Fraction:
@@ -34,52 +38,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="jumpnum",
-        description="Jumping numbers of complete ideals from resolution data.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, with_file=True):
-        p = sub.add_parser(name, help=help_text)
-        if with_file:
-            p.add_argument("file", help="resolution file")
-        return p
-
-    add("validate", "check the structural rules of a resolution file")
-
-    p = add("matrices", "print a derived matrix or vector")
-    p.add_argument(
-        "--which",
-        required=True,
-        choices=("P", "Q", "V", "K"),
-        help="P: proximity, Q: its inverse, V: valuation table, "
-        "K: canonical divisor (E-coordinates, one line)",
-    )
-
-    p = add("semigroup", "branch gcds, Frobenius multiples and semigroup at a vertex")
-    p.add_argument("--vertex", type=int, required=True)
-
-    p = add("jumping", "jumping numbers by the closed formula")
-    p.add_argument("--bound", type=_fraction, default=Fraction(2))
-    p.add_argument("--vertex", type=int, default=None,
-                   help="restrict to numbers supported at this vertex")
-    p.add_argument("--format", choices=("text", "tsv"), default="text")
-
-    add("lct", "log-canonical threshold")
-
-    p = add("oracle", "multiplier-ideal scan, compared against the closed formula")
-    p.add_argument("--bound", type=_fraction, default=Fraction(2))
-
-    p = add("multiplier", "factorization vector of the multiplier ideal")
-    p.add_argument("--xi", type=_fraction, required=True)
-
-    p = add("fixture-gen", "regenerate the bundled 20-vertex example", with_file=False)
-    p.add_argument("--out", default=None, help="write here instead of stdout")
-    return parser
 
 
 def _load(path: str) -> tuple[ResolutionGraph, tuple[int, ...]]:
@@ -117,9 +75,6 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_matrices(args) -> int:
-    from .graph import inverse_proximity, proximity_matrix
-    from .lattice import valuation_table
-
     ideal = _ideal(args.file)
     graph = ideal.graph
     if args.which == "P":
@@ -134,9 +89,6 @@ def _cmd_matrices(args) -> int:
 
 
 def _cmd_semigroup(args) -> int:
-    from .graph import adjacency
-    from .semigroups import branch_gcd, frobenius_multiple, vertex_semigroup
-
     ideal = _ideal(args.file)
     mu, table = args.vertex, ideal.table
     gens = vertex_semigroup(table, ideal.graph, mu).generators  # checks mu
@@ -174,8 +126,6 @@ def _cmd_lct(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    from .oracle import oracle_jumping_numbers
-
     ideal = _ideal(args.file)
     scanned = oracle_jumping_numbers(ideal, args.bound)
     _print_jumping(scanned.entries, "text")
@@ -195,8 +145,6 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_multiplier(args) -> int:
-    from .oracle import multiplier_divisor
-
     result = multiplier_divisor(_ideal(args.file), args.xi)
     print(" ".join(str(int(c)) for c in result.divisor.coords))
     return 0
@@ -212,22 +160,62 @@ def _cmd_fixture_gen(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "matrices": _cmd_matrices,
-    "semigroup": _cmd_semigroup,
-    "jumping": _cmd_jumping,
-    "lct": _cmd_lct,
-    "oracle": _cmd_oracle,
-    "multiplier": _cmd_multiplier,
-    "fixture-gen": _cmd_fixture_gen,
-}
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="jumpnum",
+        description="Jumping numbers of complete ideals from resolution data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text, handler, with_file=True):
+        p = sub.add_parser(name, help=help_text)
+        if with_file:
+            p.add_argument("file", help="resolution file")
+        p.set_defaults(run=handler)
+        return p
+
+    add("validate", "check the structural rules of a resolution file", _cmd_validate)
+
+    p = add("matrices", "print a derived matrix or vector", _cmd_matrices)
+    p.add_argument(
+        "--which",
+        required=True,
+        choices=("P", "Q", "V", "K"),
+        help="P: proximity, Q: its inverse, V: valuation table, "
+        "K: canonical divisor (E-coordinates, one line)",
+    )
+
+    p = add("semigroup", "branch gcds, Frobenius multiples and semigroup at a vertex",
+            _cmd_semigroup)
+    p.add_argument("--vertex", type=int, required=True)
+
+    p = add("jumping", "jumping numbers by the closed formula", _cmd_jumping)
+    p.add_argument("--bound", type=_fraction, default=Fraction(2))
+    p.add_argument("--vertex", type=int, default=None,
+                   help="restrict to numbers supported at this vertex")
+    p.add_argument("--format", choices=("text", "tsv"), default="text")
+
+    add("lct", "log-canonical threshold", _cmd_lct)
+
+    p = add("oracle", "multiplier-ideal scan, compared against the closed formula", _cmd_oracle)
+    p.add_argument("--bound", type=_fraction, default=Fraction(2))
+
+    p = add("multiplier", "factorization vector of the multiplier ideal", _cmd_multiplier)
+    p.add_argument("--xi", type=_fraction, required=True)
+
+    p = add("fixture-gen", "regenerate the bundled 20-vertex example",
+            _cmd_fixture_gen, with_file=False)
+    p.add_argument("--out", default=None, help="write here instead of stdout")
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # any rejected input: parser, graph or library
         print(exc, file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .graph import _check_vertex, adjacency, branch
 from .ideals import IdealSpec, JumpingSet
 from .lattice import canonical
-from .semigroups import _end_gcd, _vertex_semigroup, membership
+from .semigroups import NumericalSemigroup, _end_gcd, membership
 
 __all__ = [
     "branch_value",
@@ -47,7 +47,7 @@ def _vertex_context(ideal: IdealSpec, mu: int):
     gcds = [_end_gcd(table, dual, mu, c) for c in components]
     terms = tuple((s, _mass(ideal, mu, c), s * d_mu) for s, c in zip(gcds, components))
     offset = (len(gcds) - 2) * table.entry(mu, mu)
-    return d_mu, offset, terms, _vertex_semigroup(table.entry(mu, mu), gcds)
+    return d_mu, offset, terms, NumericalSemigroup((*gcds, table.entry(mu, mu)))
 
 
 def _scores(offset: int, terms, ts: range) -> list[int]:

@@ -6,7 +6,8 @@ Grammar (``#`` starts a comment, blank lines are ignored)::
     P <mu> <nu1> [<nu2>]     one line per vertex mu = 2..n
     D <d1> <d2> ... <dn>     factorization multiplicities, nonnegative
 
-Parsing is strict: duplicate or missing P lines, references to later
+Parsing is strict: numbers are ASCII digits with an optional leading
+``-``, and anything else, duplicate or missing P lines, references to later
 vertices, wrong D arity and negative entries are all rejected with the
 offending line number.  ``serialize_resolution`` emits the canonical form,
 so parse/serialize round trips are byte identical on canonical files.
@@ -41,10 +42,15 @@ def _tokens(text: str):
 
 
 def _int(word: str, lineno: int, what: str) -> int:
-    try:
-        return int(word, 10)
-    except ValueError:
-        raise ParseError(lineno, f"{what} is not an integer ({word!r})") from None
+    # int() alone also takes '+1', '1_0' and non-ASCII digits, none of which
+    # survive a serialize round trip.
+    digits = word.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(word)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(lineno, f"{what} is not an integer ({word!r})")
 
 
 def parse_resolution(text: str) -> tuple[ResolutionGraph, tuple[int, ...]]:

@@ -128,11 +128,7 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
     _check_vertex(graph, mu)
     dual = adjacency(graph)
     gcds = [_end_gcd(table, dual, mu, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
-    return _vertex_semigroup(table.entry(mu, mu), gcds)
-
-
-def _vertex_semigroup(diagonal: int, gcds) -> NumericalSemigroup:
-    return NumericalSemigroup((*gcds, diagonal))
+    return NumericalSemigroup((*gcds, table.entry(mu, mu)))
 
 
 def value_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:

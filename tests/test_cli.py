@@ -1,5 +1,9 @@
+import argparse
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +16,7 @@ from jumpnum.cli import main
 
 from conftest import FIXTURES
 
+ROOT = FIXTURES.parent
 CUSP = str(FIXTURES / "cusp.res")
 MAXIMAL = str(FIXTURES / "maximal.res")
 SAMPLE20 = str(FIXTURES / "sample20.res")
@@ -21,6 +26,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CUSP_JUMPS = ["5/6", "7/6", "4/3", "3/2", "5/3", "11/6", "2"]
+USAGE_ERRORS = [
+    [],
+    ["bogus"],
+    ["matrices", CUSP, "--which", "X"],
+    ["multiplier", CUSP],
+    ["jumping", CUSP, "--bound", "1/0"],
+]
 
 
 def test_validate_ok(capsys):
@@ -93,7 +108,7 @@ def test_lct_outputs(capsys):
 def test_jumping_text_default_bound(capsys):
     code, out, _ = run(capsys, "jumping", CUSP)
     assert code == 0
-    assert out.splitlines() == ["5/6", "7/6", "4/3", "3/2", "5/3", "11/6", "2"]
+    assert out.splitlines() == CUSP_JUMPS
 
 
 def test_jumping_fractions_are_reduced(capsys):
@@ -258,3 +273,57 @@ def test_oracle_mismatch_exits_two(monkeypatch, capsys):
     code, out, _ = run(capsys, "oracle", CUSP, "--bound", "1")
     assert code == 2
     assert out.endswith("MISMATCH: oracle only: 5/6; formula only: 1/7\n")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "lct", CUSP) == run(capsys, "lct", CUSP) == (0, "5/6\n", "")
+    assert built == []
+
+
+def test_reused_parser_carries_nothing_between_calls(capsys):
+    code, out, _ = run(capsys, "jumping", CUSP, "--vertex", "3", "--format", "tsv")
+    assert (code, out) == (0, "".join(f"{xi}\t3\n" for xi in CUSP_JUMPS))
+    with pytest.raises(SystemExit):
+        main(USAGE_ERRORS[-1])
+    capsys.readouterr()
+    assert run(capsys, "jumping", CUSP) == (0, "".join(f"{xi}\n" for xi in CUSP_JUMPS), "")
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: jumpnum")
+    assert "error:" in captured.err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jumpnum")
+
+
+def test_cli_runs_as_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": "src"}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "jumpnum.cli", *argv], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+
+    done = cli("lct", "fixtures/cusp.res")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "5/6\n", "")
+    done = cli("bogus")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("usage: jumpnum")

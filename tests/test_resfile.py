@@ -56,6 +56,10 @@ def test_forward_reference_reports_line():
         ("N 2\nP 2 1\nX 1\nD 1 1\n", "unknown directive"),
         ("N 2\nP 1 1\nD 1 1\n", "out of range"),
         ("N 2\nP 2 x\nD 1 1\n", "not an integer"),
+        ("N 2\nP 2 -1\nD 1 1\n", "target vertex -1 out of range at line 2"),
+        ("N 2\nP 2 1\nD 0 1_0\n", "multiplicity is not an integer ('1_0') at line 3"),
+        ("N 2\nP 2 1\nD 0 \uff12\n", "multiplicity is not an integer ('\uff12') at line 3"),
+        ("N 2\nP 2 1\nD 0 +1\n", "multiplicity is not an integer ('+1') at line 3"),
     ],
 )
 def test_parse_errors(text, fragment):
