@@ -90,7 +90,7 @@ def _cmd_matrices(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     ideal = _ideal(args.file)
-    mu, table = args.vertex, ideal.table
+    mu, table = args.vertex, valuation_table(ideal.graph)
     gens = vertex_semigroup(table, ideal.graph, mu).generators  # checks mu
     dual = adjacency(ideal.graph)
     for nu in dual.neighbors_of(mu):

@@ -2,7 +2,8 @@
 
 An ideal of finite colength is pinned down by a resolution graph together
 with the multiplicities of its simple factors.  The induced valuation
-vector is the factorization vector pushed through the valuation table.
+vector is the ideal's divisor in E-coordinates, Q Q^t times the
+factorization, read by two passes over the proximities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from functools import cached_property
 from itertools import pairwise
 
 from .graph import ResolutionGraph, _integral, ensure_valid
-from .lattice import ValuationTable, valuation_table
+from .lattice import _e_from_star, _star_from_hat
 
 __all__ = ["IdealSpec", "JumpingSet"]
 
@@ -41,18 +42,10 @@ class IdealSpec:
         object.__setattr__(self, "factorization", fac)
 
     @cached_property
-    def table(self) -> ValuationTable:
-        return valuation_table(self.graph)
-
-    @cached_property
     def valuations(self) -> tuple[int, ...]:
-        """Valuation vector: factorization times the valuation table."""
-        v = self.table.matrix
-        n = self.graph.n
-        fac = self.factorization
-        return tuple(
-            sum(fac[i] * v[i][j] for i in range(n) if fac[i]) for j in range(n)
-        )
+        """Valuation vector: Q Q^t times the factorization, the ideal's
+        divisor in E-coordinates."""
+        return _e_from_star(_star_from_hat(self.factorization, self.graph), self.graph)
 
     def power(self, exponent: int) -> "IdealSpec":
         if exponent < 1:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .graph import _check_vertex, adjacency, branch
 from .ideals import IdealSpec, JumpingSet
-from .lattice import canonical
+from .lattice import _valuation_row, canonical
 from .semigroups import NumericalSemigroup, _end_gcd, membership
 
 __all__ = [
@@ -30,24 +30,24 @@ __all__ = [
 
 def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
     """Factorization-weighted valuation mass of the branch from mu towards nu."""
-    return _mass(ideal, mu, branch(ideal.graph, mu, nu))
+    return _mass(ideal, branch(ideal.graph, mu, nu), _valuation_row(ideal.graph, mu))
 
 
-def _mass(ideal: IdealSpec, mu: int, component) -> int:
-    return sum(ideal.factorization[i - 1] * ideal.table.entry(mu, i) for i in component)
+def _mass(ideal: IdealSpec, component, row) -> int:
+    return sum(ideal.factorization[i - 1] * row[i - 1] for i in component)
 
 
 def _vertex_context(ideal: IdealSpec, mu: int):
     """d_mu, the valence offset, one (s, w, s*d_mu) triple per branch (s its
-    gcd, w its value) and the vertex semigroup, from one walk per branch."""
+    gcd, w its value) and the semigroup, from one row and one walk per branch."""
     _check_vertex(ideal.graph, mu)
-    dual, table = adjacency(ideal.graph), ideal.table
+    dual, row = adjacency(ideal.graph), _valuation_row(ideal.graph, mu)
     d_mu = ideal.valuations[mu - 1]
     components = [branch(ideal.graph, mu, nu) for nu in dual.neighbors_of(mu)]
-    gcds = [_end_gcd(table, dual, mu, c) for c in components]
-    terms = tuple((s, _mass(ideal, mu, c), s * d_mu) for s, c in zip(gcds, components))
-    offset = (len(gcds) - 2) * table.entry(mu, mu)
-    return d_mu, offset, terms, NumericalSemigroup((*gcds, table.entry(mu, mu)))
+    gcds = [_end_gcd(row, dual, c) for c in components]
+    terms = tuple((s, _mass(ideal, c, row), s * d_mu) for s, c in zip(gcds, components))
+    offset = (len(gcds) - 2) * row[mu - 1]
+    return d_mu, offset, terms, NumericalSemigroup((*gcds, row[mu - 1]))
 
 
 def _scores(offset: int, terms, ts: range) -> list[int]:

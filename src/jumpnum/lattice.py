@@ -4,29 +4,24 @@ A divisor is carried in one of three integral bases: the strict
 transforms (E), the total transforms (E*), or the dual basis (E^) whose
 coordinates are the factorization multiplicities.  Coordinates are plain
 ints where integral and exact Fractions otherwise, so floors and ceilings
-downstream stay trustworthy.  Base changes walk the proximities and the
-inverse proximity matrix.  The antinef closure unloads int coordinates on
-the dual graph's weights and neighbours, without the intersection matrix.
-The unloading loop has one owner, ``_settle``: the cold ``_unload`` calls it
-on a whole divisor, and the oracle's sweep calls it on the few entries each
+downstream stay trustworthy.  This module owns the base changes: four O(n)
+passes over the proximities multiply by P, P^t, Q = P^-1 and Q^t, and the
+canonical divisor, an ideal's valuations and the valuation-table rows are
+read through them.  The antinef closure unloads int coordinates on the dual
+graph's weights and neighbours, without the intersection matrix.  The
+unloading loop has one owner, ``_settle``: the cold ``_unload`` calls it on
+a whole divisor, and the oracle's sweep calls it on the few entries each
 candidate disturbs; ``Divisor`` is only in public functions.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .graph import (
-    Matrix,
-    ResolutionGraph,
-    adjacency,
-    ensure_valid,
-    inverse_proximity,
-)
+from .graph import Matrix, ResolutionGraph, _check_vertex, adjacency, ensure_valid
 
 __all__ = [
     "Basis",
@@ -99,9 +94,11 @@ class ValuationTable:
         return len(self.matrix)
 
     def entry(self, mu: int, nu: int) -> int:
-        return self.matrix[mu - 1][nu - 1]
+        _check_vertex(self, nu)
+        return self.row(mu)[nu - 1]
 
     def row(self, mu: int) -> tuple[int, ...]:
+        _check_vertex(self, mu)
         return self.matrix[mu - 1]
 
 
@@ -115,25 +112,27 @@ class CanonicalData:
 
 @lru_cache(maxsize=None)
 def valuation_table(graph: ResolutionGraph) -> ValuationTable:
-    """Exact inverse of the intersection form Q Q^t, by forward substitution.
+    """Exact inverse of the intersection form, Q Q^t, one row per vertex.
 
-    P Q = I gives P (Q Q^t) = Q^t, so row mu is column mu of Q plus the
-    rows of the (at most two) vertices mu is proximate to.
+    The dense n x n table behind ``matrices --which V``, ``semigroup`` and
+    the tests; jumping-number queries read single rows with ``_valuation_row``.
     """
-    rows: list[tuple[int, ...]] = []
-    for targets, row in zip(graph.prox, zip(*inverse_proximity(graph))):
-        for nu in targets:
-            row = tuple(map(operator.add, row, rows[nu - 1]))
-        rows.append(row)
-    return ValuationTable(tuple(rows))
+    ensure_valid(graph)
+    return ValuationTable(tuple(_valuation_row(graph, mu) for mu in range(1, graph.n + 1)))
+
+
+def _valuation_row(graph: ResolutionGraph, mu: int) -> tuple[int, ...]:
+    """Row mu of the valuation table, Q Q^t e_mu, in two passes."""
+    unit = (0,) * (mu - 1) + (1,) + (0,) * (graph.n - mu)
+    return _e_from_star(_star_from_hat(unit, graph), graph)
 
 
 def to_basis(divisor: Divisor, target: Basis, graph: ResolutionGraph) -> Divisor:
     """Rewrite a divisor exactly in another basis.
 
-    E -> E* multiplies by the transposed proximity matrix, E* -> E^ by the
-    proximity matrix itself; the inverse steps use the inverse proximity
-    matrix.  Round trips are exact identities.
+    E -> E* multiplies by the proximity matrix P, E* -> E^ by its
+    transpose; the inverse steps multiply by Q = P^-1 and Q^t.  Each step is
+    one pass over the proximities, and round trips are exact identities.
     """
     ensure_valid(graph)
     if divisor.n != graph.n:
@@ -145,10 +144,8 @@ def to_basis(divisor: Divisor, target: Basis, graph: ResolutionGraph) -> Divisor
     coords = divisor.coords
     for step in range(i, j):  # E -> E* -> E^
         coords = (_star_from_e if step == 0 else _hat_from_star)(coords, graph)
-    for step in range(i, j, -1):  # E^ -> E* is coords * Q, E* -> E is coords * Q^t
-        q = inverse_proximity(graph)
-        rows = zip(*q) if step == 2 else q
-        coords = tuple(sum(map(operator.mul, coords, row)) for row in rows)
+    for step in range(i, j, -1):  # E^ -> E* -> E
+        coords = (_e_from_star if step == 1 else _star_from_hat)(coords, graph)
     return Divisor(coords, target)
 
 
@@ -168,12 +165,27 @@ def _hat_from_star(coords, graph):
     return tuple(out)
 
 
+def _e_from_star(coords, graph):
+    out = list(coords)  # Q times coords: entry mu gains its targets' entries
+    for mu, targets in enumerate(graph.prox):
+        for nu in targets:
+            out[mu] += out[nu - 1]
+    return tuple(out)
+
+
+def _star_from_hat(coords, graph):
+    out = list(coords)  # Q^t times coords: targets gain entry mu, last first
+    for mu in range(graph.n - 1, -1, -1):
+        for nu in graph.prox[mu]:
+            out[nu - 1] += out[mu]
+    return tuple(out)
+
+
 def canonical(graph: ResolutionGraph) -> CanonicalData:
-    """Canonical divisor: row sums of the inverse proximity matrix in
-    E-coordinates, two minus the weight in dual coordinates."""
-    k = tuple(map(sum, inverse_proximity(graph)))
+    """Canonical divisor: K = sum of the E*_i, so Q times the all-ones vector
+    in E-coordinates, and two minus the weight in dual coordinates."""
     k_hat = tuple(2 - w for w in adjacency(graph).weights)
-    return CanonicalData(k, k_hat)
+    return CanonicalData(_e_from_star((1,) * graph.n, graph), k_hat)
 
 
 def is_antinef(divisor: Divisor, graph: ResolutionGraph) -> bool:

@@ -97,11 +97,11 @@ def branch_gcd(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) 
     emanating from mu towards nu."""
     if mu == nu:
         raise ValueError("the branch from a vertex towards itself is empty")
-    return _end_gcd(table, adjacency(graph), mu, branch(graph, mu, nu))
+    return _end_gcd(table.row(mu), adjacency(graph), branch(graph, mu, nu))
 
 
-def _end_gcd(table: ValuationTable, dual: DualGraph, mu: int, component) -> int:
-    return math.gcd(*(table.entry(mu, tau) for tau in component if dual.valence(tau) <= 1))
+def _end_gcd(row, dual: DualGraph, component) -> int:
+    return math.gcd(*(row[tau - 1] for tau in component if dual.valence(tau) <= 1))
 
 
 def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:
@@ -126,9 +126,9 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
     On a one-vertex graph this is the full set of nonnegative integers.
     """
     _check_vertex(graph, mu)
-    dual = adjacency(graph)
-    gcds = [_end_gcd(table, dual, mu, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
-    return NumericalSemigroup((*gcds, table.entry(mu, mu)))
+    dual, row = adjacency(graph), table.row(mu)
+    gcds = [_end_gcd(row, dual, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
+    return NumericalSemigroup((*gcds, row[mu - 1]))
 
 
 def value_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:

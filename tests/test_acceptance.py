@@ -69,7 +69,7 @@ def test_ac2_valuation_vector():
 def test_ac3_semigroup_data():
     started = time.monotonic()
     ideal = load_fixture("sample20.res")
-    graph, table = ideal.graph, ideal.table
+    graph, table = ideal.graph, valuation_table(ideal.graph)
 
     assert [branch_gcd(table, graph, 1, nu) for nu in (3, 10, 16, 20)] == [1, 1, 1, 1]
     assert [branch_gcd(table, graph, 3, nu) for nu in (1, 2, 9)] == [2, 3, 6]
@@ -217,7 +217,7 @@ def test_ac6_simple_ideal_closed_form():
         assert adjacency(ideal.graph).valence(mu) == 2
         gamma, tau = associated_pairs(ideal.graph, mu).pairs[-1]
         a = inverse_proximity(ideal.graph)[mu - 1][gamma - 1]
-        b = ideal.table.entry(mu, tau)
+        b = valuation_table(ideal.graph).entry(mu, tau)
         reference = {
             Fraction(s + 1, a) + Fraction(t + 1, b)
             for s in range(2 * a)

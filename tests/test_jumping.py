@@ -21,6 +21,7 @@ from jumpnum import (
     jumping_numbers_at,
     log_canonical_threshold,
     support_vertices,
+    valuation_table,
     vertex_semigroup,
 )
 from jumpnum import jumping, semigroups
@@ -219,7 +220,7 @@ def test_vertex_context_matches_public_branch_functions():
         rng = random.Random(f"context:{bias}")
         ideals += [random_ideal(rng, max_n=12, satellite_bias=bias) for _ in range(40)]
     for ideal in ideals:
-        table, graph = ideal.table, ideal.graph
+        table, graph = valuation_table(ideal.graph), ideal.graph
         for mu in range(1, graph.n + 1):
             d_mu, _, terms, semigroup = jumping._vertex_context(ideal, mu)
             expected = []

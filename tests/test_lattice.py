@@ -8,6 +8,7 @@ import pytest
 from jumpnum import (
     Basis,
     Divisor,
+    IdealSpec,
     InvalidGraphError,
     ResolutionGraph,
     adjacency,
@@ -22,6 +23,7 @@ from jumpnum import (
     valuation_ratio,
     valuation_table,
 )
+from jumpnum import lattice
 from jumpnum.sample20 import VALUATION_MATRIX
 
 from conftest import random_blowup_graph
@@ -243,6 +245,19 @@ def test_valuation_ratio_reflexive_and_chain():
     assert valuation_ratio(table, 1, 2, 2) == 2
 
 
+def test_valuation_table_rejects_vertices_out_of_range(cusp_graph):
+    # 0 and -1 used to read the last row, and n + 1 raised a bare IndexError
+    table = valuation_table(cusp_graph)
+    for mu in (0, -1, cusp_graph.n + 1):
+        calls = (lambda: table.row(mu), lambda: table.entry(mu, 1), lambda: table.entry(1, mu),
+                 lambda: valuation_ratio(table, mu, 1, 1),
+                 lambda: valuation_ratio(table, 1, mu, 1),
+                 lambda: valuation_ratio(table, 1, 1, mu))
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"^vertex out of range: {mu}$"):
+                call()
+
+
 def test_valuation_ratio_adjacent_identity():
     rng = random.Random(37)
     for _ in range(40):
@@ -348,3 +363,40 @@ def test_divisor_keeps_non_integers_exact():
     assert not divisor.is_integral()
     with pytest.raises(ValueError):
         divisor.int_coords()
+
+
+def _times(matrix, coords):
+    """Dense matrix times a column vector, skipping zero entries."""
+    return tuple(sum(a * c for a, c in zip(row, coords) if a) for row in matrix)
+
+
+def test_passes_match_dense_products():
+    # The four proximity passes against products with the dense P and Q.
+    for bias in (0.3, 0.8):
+        rng = random.Random(f"passes:{bias}")
+        for n in (1, 2, 7, 30, 100, 400):
+            graph = random_blowup_graph(rng, n, bias)
+            p, q = proximity_matrix(graph), inverse_proximity(graph)
+            pt, qt = tuple(zip(*p)), tuple(zip(*q))
+            coords = tuple(rng.randint(-50, 50) for _ in range(n))
+            assert lattice._e_from_star(coords, graph) == _times(q, coords)
+            assert lattice._star_from_hat(coords, graph) == _times(qt, coords)
+
+            fac = [rng.randint(0, 3) if rng.random() < 0.2 else 0 for _ in range(n)]
+            fac[rng.randrange(n)] = 1
+            ideal = IdealSpec(graph, tuple(fac))
+            assert ideal.valuations == _times(q, _times(qt, fac))  # fac times Q Q^t
+            assert canonical(graph).k == tuple(map(sum, q))
+
+            # E -> E* is P, E* -> E^ is P^t, and back by Q and Q^t
+            steps = {(Basis.E, Basis.E_STAR): (p,), (Basis.E_STAR, Basis.E_HAT): (pt,),
+                     (Basis.E, Basis.E_HAT): (p, pt), (Basis.E_STAR, Basis.E): (q,),
+                     (Basis.E_HAT, Basis.E_STAR): (qt,), (Basis.E_HAT, Basis.E): (qt, q)}
+            mixed = tuple(Fraction(c, rng.choice((1, 2, 3, 7))) for c in coords)
+            for (source, target), matrices in steps.items():
+                for start in (coords, mixed):
+                    expected = start
+                    for matrix in matrices:
+                        expected = _times(matrix, expected)
+                    got = to_basis(Divisor(start, source), target, graph)
+                    assert got == Divisor(expected, target)

@@ -133,7 +133,7 @@ def test_antinef_closure_is_antinef_and_monotone(graph, data):
 def test_score_matches_direct_formula(ideal):
     # The vectorized scan and the standalone evaluation agree.
     dual = adjacency(ideal.graph)
-    table = ideal.table
+    table = valuation_table(ideal.graph)
     for mu in range(1, ideal.graph.n + 1):
         d_mu = ideal.valuations[mu - 1]
         semigroup = vertex_semigroup(table, ideal.graph, mu)

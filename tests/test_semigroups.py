@@ -43,7 +43,7 @@ def test_branch_gcd_rejects_equal_vertices(cusp):
 
 def test_branch_gcd_sample20(sample20_ideal):
     graph = sample20_ideal.graph
-    table = sample20_ideal.table
+    table = valuation_table(sample20_ideal.graph)
     assert [branch_gcd(table, graph, 1, nu) for nu in (3, 10, 16, 20)] == [1, 1, 1, 1]
     assert [branch_gcd(table, graph, 3, nu) for nu in (1, 2, 9)] == [2, 3, 6]
 
@@ -85,7 +85,7 @@ def test_vertex_semigroup_cusp(cusp):
 
 def test_vertex_semigroup_sample20(sample20_ideal):
     graph = sample20_ideal.graph
-    table = sample20_ideal.table
+    table = valuation_table(sample20_ideal.graph)
     limit = 200
 
     def members(gens):
