@@ -77,6 +77,8 @@ class ResolutionGraph:
     def build(cls, n: int, prox: dict[int, tuple[int, ...]] | None = None) -> "ResolutionGraph":
         """Construct from a {vertex: proximate-to} mapping (root omitted)."""
         prox = prox or {}
+        if outside := prox.keys() - range(1, n + 1):
+            raise ValueError(f"vertex out of range: {outside.pop()!r}")
         return cls(n, tuple(tuple(prox.get(mu, ())) for mu in range(1, n + 1)))
 
     def prox_of(self, mu: int) -> tuple[int, ...]:
@@ -99,12 +101,14 @@ class DualGraph:
     weights: tuple[int, ...]
 
     def neighbors_of(self, mu: int) -> tuple[int, ...]:
+        _check_vertex(self, mu)
         return self.neighbors[mu - 1]
 
     def valence(self, mu: int) -> int:
-        return len(self.neighbors[mu - 1])
+        return len(self.neighbors_of(mu))
 
     def weight(self, mu: int) -> int:
+        _check_vertex(self, mu)
         return self.weights[mu - 1]
 
     @property
@@ -118,11 +122,11 @@ class DualGraph:
 
     @property
     def ends(self) -> tuple[int, ...]:
-        return tuple(mu for mu in range(1, self.n + 1) if self.valence(mu) <= 1)
+        return tuple(mu for mu, adj in enumerate(self.neighbors, 1) if len(adj) <= 1)
 
     @property
     def stars(self) -> tuple[int, ...]:
-        return tuple(mu for mu in range(1, self.n + 1) if self.valence(mu) >= 3)
+        return tuple(mu for mu, adj in enumerate(self.neighbors, 1) if len(adj) >= 3)
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,7 @@ def branch(graph: ResolutionGraph, mu: int, nu: int) -> frozenset:
     stack = [nu]
     while stack:
         v = stack.pop()
-        for w in dual.neighbors_of(v):
+        for w in dual.neighbors[v - 1]:
             if w != mu and w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -318,22 +322,24 @@ def infinitely_near(graph: ResolutionGraph, mu: int, nu: int) -> bool:
     """Whether nu lies below mu in the blowup order (reflexively)."""
     _check_vertex(graph, mu)
     _check_vertex(graph, nu)
-    return inverse_proximity(graph)[mu - 1][nu - 1] > 0
+    ensure_valid(graph)
+    return nu in _below(graph, mu)
+
+
+def _below(graph: ResolutionGraph, mu: int) -> set[int]:
+    """The vertices nu with Q[mu][nu] > 0: mu and every vertex its proximities reach."""
+    seen = {mu}
+    for nu in range(mu, 1, -1):  # proximities point to earlier vertices
+        if nu in seen:
+            seen.update(graph.prox[nu - 1])
+    return seen
 
 
 def _pair_below(graph: ResolutionGraph, mu: int) -> tuple[int, int]:
-    # Work on the chain of vertices below mu; it is totally ordered by the
-    # vertex index.
-    q_row = inverse_proximity(graph)[mu - 1]
-    chain = [nu for nu in range(1, mu + 1) if q_row[nu - 1] > 0]
-    tau = max(nu for nu in chain if is_free(graph, nu))
-    q_tau = inverse_proximity(graph)[tau - 1]
-    anchors = [
-        nu for nu in chain
-        if nu <= tau and q_tau[nu - 1] > 0 and not is_free(graph, nu)
-    ]
-    gamma = max(anchors) if anchors else 1
-    return gamma, tau
+    # The vertices below mu form a chain, totally ordered by the vertex index.
+    tau = max(nu for nu in _below(graph, mu) if is_free(graph, nu))
+    anchors = [nu for nu in _below(graph, tau) if not is_free(graph, nu)]
+    return max(anchors, default=1), tau
 
 
 def associated_pairs(graph: ResolutionGraph, mu: int) -> AssociatedPairSequence:

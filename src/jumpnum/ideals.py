@@ -48,6 +48,7 @@ class IdealSpec:
         return _e_from_star(_star_from_hat(self.factorization, self.graph), self.graph)
 
     def power(self, exponent: int) -> "IdealSpec":
+        exponent = _integral(exponent)
         if exponent < 1:
             raise ValueError("exponent must be positive")
         return IdealSpec(self.graph, tuple(x * exponent for x in self.factorization))

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .graph import _check_vertex, adjacency, branch
+from .graph import adjacency, branch
 from .ideals import IdealSpec, JumpingSet
-from .lattice import _valuation_row, canonical
+from .lattice import canonical, valuation_table
 from .semigroups import NumericalSemigroup, _end_gcd, membership
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
 
 def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
     """Factorization-weighted valuation mass of the branch from mu towards nu."""
-    return _mass(ideal, branch(ideal.graph, mu, nu), _valuation_row(ideal.graph, mu))
+    return _mass(ideal, branch(ideal.graph, mu, nu), valuation_table(ideal.graph).row(mu))
 
 
 def _mass(ideal: IdealSpec, component, row) -> int:
@@ -40,8 +40,7 @@ def _mass(ideal: IdealSpec, component, row) -> int:
 def _vertex_context(ideal: IdealSpec, mu: int):
     """d_mu, the valence offset, one (s, w, s*d_mu) triple per branch (s its
     gcd, w its value) and the semigroup, from one row and one walk per branch."""
-    _check_vertex(ideal.graph, mu)
-    dual, row = adjacency(ideal.graph), _valuation_row(ideal.graph, mu)
+    dual, row = adjacency(ideal.graph), valuation_table(ideal.graph).row(mu)
     d_mu = ideal.valuations[mu - 1]
     components = [branch(ideal.graph, mu, nu) for nu in dual.neighbors_of(mu)]
     gcds = [_end_gcd(row, dual, c) for c in components]
@@ -84,8 +83,9 @@ def jumping_numbers_at(ideal: IdealSpec, mu: int, bound) -> JumpingSet:
 
 
 def support_vertices(ideal: IdealSpec) -> frozenset:
-    """Vertices that can support a jumping number: the stars of the dual
-    graph and the vertices carrying a simple factor."""
+    """Vertices the formula scans: the stars of the dual graph and the
+    vertices carrying a simple factor.  Every jumping number has one in its
+    oracle support, and ``jumping_numbers`` reports supports cut to them."""
     dual = adjacency(ideal.graph)
     return frozenset(
         mu

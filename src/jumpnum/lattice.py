@@ -5,13 +5,14 @@ transforms (E), the total transforms (E*), or the dual basis (E^) whose
 coordinates are the factorization multiplicities.  Coordinates are plain
 ints where integral and exact Fractions otherwise, so floors and ceilings
 downstream stay trustworthy.  This module owns the base changes: four O(n)
-passes over the proximities multiply by P, P^t, Q = P^-1 and Q^t, and the
-canonical divisor, an ideal's valuations and the valuation-table rows are
-read through them.  The antinef closure unloads int coordinates on the dual
-graph's weights and neighbours, without the intersection matrix.  The
-unloading loop has one owner, ``_settle``: the cold ``_unload`` calls it on
-a whole divisor, and the oracle's sweep calls it on the few entries each
-candidate disturbs; ``Divisor`` is only in public functions.
+passes over the proximities multiply by P, P^t, Q = P^-1 and Q^t.  The
+canonical divisor, an ideal's valuations and ``ValuationTable.row``, the
+one reader of a valuation-table row, go through them.  The antinef closure
+unloads int coordinates on the dual graph's weights and neighbours,
+without the intersection matrix.  The unloading loop has one owner,
+``_settle``: the cold ``_unload`` calls it on a whole divisor, and the
+oracle's sweep calls it on the few entries each candidate disturbs;
+``Divisor`` is only in public functions.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .graph import Matrix, ResolutionGraph, _check_vertex, adjacency, ensure_valid
 
@@ -79,19 +80,20 @@ class Divisor:
 
 @dataclass(frozen=True)
 class ValuationTable:
-    """Symmetric positive matrix of pairwise valuation values.
+    """Symmetric positive matrix of pairwise valuation values, by rows.
 
     Entry (mu, nu) is the value the mu-th divisorial valuation takes on
     the nu-th simple ideal; it equals the inverse of the intersection
     form, hence the product of the inverse proximity matrix with its own
-    transpose.
+    transpose.  A row or an entry costs two O(n) passes and is not kept;
+    callers that need many entries read ``matrix``, which is built once.
     """
 
-    matrix: Matrix
+    graph: ResolutionGraph
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return self.graph.n
 
     def entry(self, mu: int, nu: int) -> int:
         _check_vertex(self, nu)
@@ -99,7 +101,12 @@ class ValuationTable:
 
     def row(self, mu: int) -> tuple[int, ...]:
         _check_vertex(self, mu)
-        return self.matrix[mu - 1]
+        unit = (0,) * (mu - 1) + (1,) + (0,) * (self.n - mu)
+        return _e_from_star(_star_from_hat(unit, self.graph), self.graph)
+
+    @cached_property
+    def matrix(self) -> Matrix:
+        return tuple(self.row(mu) for mu in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -112,19 +119,12 @@ class CanonicalData:
 
 @lru_cache(maxsize=None)
 def valuation_table(graph: ResolutionGraph) -> ValuationTable:
-    """Exact inverse of the intersection form, Q Q^t, one row per vertex.
+    """Exact inverse of the intersection form, Q Q^t, as a view of rows.
 
-    The dense n x n table behind ``matrices --which V``, ``semigroup`` and
-    the tests; jumping-number queries read single rows with ``_valuation_row``.
+    Returned in O(1); a row costs O(n), and the dense ``matrix`` is built once.
     """
     ensure_valid(graph)
-    return ValuationTable(tuple(_valuation_row(graph, mu) for mu in range(1, graph.n + 1)))
-
-
-def _valuation_row(graph: ResolutionGraph, mu: int) -> tuple[int, ...]:
-    """Row mu of the valuation table, Q Q^t e_mu, in two passes."""
-    unit = (0,) * (mu - 1) + (1,) + (0,) * (graph.n - mu)
-    return _e_from_star(_star_from_hat(unit, graph), graph)
+    return ValuationTable(graph)
 
 
 def to_basis(divisor: Divisor, target: Basis, graph: ResolutionGraph) -> Divisor:

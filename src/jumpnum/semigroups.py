@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import DualGraph, ResolutionGraph, _check_vertex, _integral, adjacency, branch
+from .graph import DualGraph, ResolutionGraph, _integral, adjacency, branch
 from .lattice import ValuationTable
 
 __all__ = [
@@ -101,7 +101,7 @@ def branch_gcd(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) 
 
 
 def _end_gcd(row, dual: DualGraph, component) -> int:
-    return math.gcd(*(row[tau - 1] for tau in component if dual.valence(tau) <= 1))
+    return math.gcd(*(row[tau - 1] for tau in component if len(dual.neighbors[tau - 1]) <= 1))
 
 
 def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:
@@ -111,13 +111,11 @@ def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, n
     mean no nonnegative multiple is missing.  By convention the vertex
     itself yields minus its diagonal value.
     """
-    _check_vertex(graph, mu)
+    row = table.row(mu)
     if mu == nu:
-        return -table.entry(mu, mu)
+        return -row[mu - 1]
     dual = adjacency(graph)
-    return sum(
-        (dual.valence(j) - 2) * table.entry(mu, j) for j in branch(graph, mu, nu)
-    )
+    return sum((dual.valence(j) - 2) * row[j - 1] for j in branch(graph, mu, nu))
 
 
 def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:
@@ -125,8 +123,7 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
 
     On a one-vertex graph this is the full set of nonnegative integers.
     """
-    _check_vertex(graph, mu)
-    dual, row = adjacency(graph), table.row(mu)
+    row, dual = table.row(mu), adjacency(graph)
     gcds = [_end_gcd(row, dual, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
     return NumericalSemigroup((*gcds, row[mu - 1]))
 
@@ -134,5 +131,5 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
 def value_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:
     """Semigroup of the mu-th valuation, generated by its values at the
     graph ends (including mu itself when mu is an end)."""
-    _check_vertex(graph, mu)
-    return NumericalSemigroup(tuple(table.entry(mu, tau) for tau in adjacency(graph).ends))
+    row = table.row(mu)
+    return NumericalSemigroup(tuple(row[tau - 1] for tau in adjacency(graph).ends))

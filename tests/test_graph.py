@@ -113,6 +113,24 @@ def test_branch_same_component_same_set(sample20_ideal):
     assert branch(graph, 1, 20) == frozenset({20})
 
 
+def test_dual_graph_rejects_vertices_out_of_range(cusp_graph):
+    # 0 and -1 used to read the last vertex, and n + 1 raised a bare IndexError
+    dual = adjacency(cusp_graph)
+    for mu in (0, -1, cusp_graph.n + 1):
+        for method in (dual.neighbors_of, dual.valence, dual.weight):
+            with pytest.raises(ValueError, match=rf"^vertex out of range: {mu}$"):
+                method(mu)
+
+
+def test_build_rejects_keys_outside_the_graph():
+    for key in (7, 4, 0, -1, 2.5, "2"):
+        with pytest.raises(ValueError, match=rf"^vertex out of range: {key!r}$"):
+            ResolutionGraph.build(3, {2: (1,), 3: (1, 2), key: (1,)})
+    # the root is a key of the graph, and validate reports its rule
+    graph = ResolutionGraph.build(3, {1: (1,), 2: (1,), 3: (1, 2)})
+    assert validate(graph) == ["vertex 1 is the root and must be proximate to no vertex"]
+
+
 def test_branch_vertex_out_of_range(cusp_graph):
     with pytest.raises(ValueError):
         branch(cusp_graph, 1, 9)

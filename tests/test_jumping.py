@@ -193,6 +193,14 @@ def test_power_scaling_law():
                 assert scaled == tuple(xi / n for xi in plain)
 
 
+def test_power_takes_only_integral_exponents(cusp_graph):
+    ideal = IdealSpec(cusp_graph, (0, 0, 2))
+    for exponent in (2.5, Fraction(3, 2), "2"):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ideal.power(exponent)
+    assert ideal.power(2.0) == ideal.power(2) == IdealSpec(cusp_graph, (0, 0, 4))
+
+
 def test_observed_shift_by_one_on_outputs(cusp_ideal, maximal_ideal, sample20_ideal):
     for ideal in (cusp_ideal, maximal_ideal, sample20_ideal):
         found = jumping_numbers(ideal, 2)

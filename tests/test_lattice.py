@@ -15,6 +15,7 @@ from jumpnum import (
     antinef_closure,
     associated_pairs,
     canonical,
+    infinitely_near,
     intersection_form,
     inverse_proximity,
     is_antinef,
@@ -47,9 +48,10 @@ _ZERO = Divisor((0, 0, 0), Basis.E)
         lambda graph: to_basis(_ZERO, Basis.E_HAT, graph),
         lambda graph: antinef_closure(_ZERO, graph),
         lambda graph: associated_pairs(graph, 3),
+        lambda graph: infinitely_near(graph, 3, 1),
     ],
     ids=["adjacency", "inverse_proximity", "proximity_matrix", "valuation_table",
-         "canonical", "to_basis", "antinef_closure", "associated_pairs"],
+         "canonical", "to_basis", "antinef_closure", "associated_pairs", "infinitely_near"],
 )
 def test_graph_functions_reject_invalid_graphs(call):
     # vertex 2 is proximate to no vertex

@@ -14,14 +14,16 @@ from jumpnum import (
     is_jumping_number,
     jumping_number_of_divisor,
     jumping_numbers,
+    jumping_numbers_at,
     membership,
     multiplier_divisor,
     oracle_jumping_numbers,
     semigroup_bruteforce,
+    support_vertices,
     to_basis,
 )
 
-from conftest import random_blowup_graph, random_ideal
+from conftest import load_fixture, random_blowup_graph, random_ideal
 
 
 def test_multiplier_divisor_maximal(maximal_ideal):
@@ -150,6 +152,24 @@ def test_oracle_supports_contain_star_or_factor_vertex():
             assert any(
                 mu in stars or ideal.factorization[mu - 1] > 0 for mu in support
             )
+
+
+def test_formula_supports_are_the_oracle_supports_at_support_vertices():
+    # The oracle may raise more vertices than the stars and factor vertices
+    # the formula scans; every vertex the per-vertex scan finds is raised.
+    rng = random.Random("supports")
+    ideals = [load_fixture(name) for name in ("maximal.res", "cusp.res", "sample20.res")]
+    ideals += [random_ideal(rng, max_n=10, satellite_bias=0.6) for _ in range(15)]
+    wider = 0
+    for ideal in ideals:
+        oracle = dict(oracle_jumping_numbers(ideal, 2).entries)
+        kept = support_vertices(ideal)
+        for xi, support in jumping_numbers(ideal, 2):
+            assert support == oracle[xi] & kept
+            wider += support != oracle[xi]
+        for mu in range(1, ideal.graph.n + 1):
+            assert all(mu in oracle[xi] for xi in jumping_numbers_at(ideal, mu, 2).values())
+    assert wider > 0
 
 
 def test_oracle_matches_formula_on_random_ideals():

@@ -1,11 +1,14 @@
-"""No jumping-number query builds an n x n matrix: the dense inverse
-proximity matrix and valuation table serve ``matrices``, ``semigroup``,
-the infinitely-near order and the tests, which use them as references."""
+"""No query builds an n x n matrix: the dense inverse proximity matrix and
+the valuation table's ``matrix`` serve ``matrices`` and the tests, which use
+them as references.  Every other reader of the valuation table, from the
+jumping-number scan to ``semigroup`` and the table-taking public functions,
+reads single rows, and the infinitely-near order walks the proximities."""
 
 import importlib
 import pkgutil
 import random
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 
@@ -13,7 +16,11 @@ import jumpnum
 from jumpnum import (
     IdealSpec,
     adjacency,
+    associated_pairs,
+    branch_gcd,
     branch_value,
+    frobenius_multiple,
+    infinitely_near,
     is_jumping_number,
     jump_test_value,
     jumping_numbers,
@@ -22,6 +29,10 @@ from jumpnum import (
     multiplier_divisor,
     oracle_jumping_numbers,
     serialize_resolution,
+    valuation_ratio,
+    valuation_table,
+    value_semigroup,
+    vertex_semigroup,
 )
 from jumpnum import cli, graph, lattice
 
@@ -30,20 +41,32 @@ from conftest import load_fixture, random_blowup_graph, random_ideal
 
 @pytest.fixture
 def dense_calls(monkeypatch):
-    """Names of the dense builders called, wherever a module binds them."""
+    """The dense builds made: calls to ``inverse_proximity``, wherever a module
+    binds it, and first evaluations of ``ValuationTable.matrix``."""
     calls = []
     modules = [jumpnum] + [importlib.import_module(f"jumpnum.{info.name}")
                            for info in pkgutil.iter_modules(jumpnum.__path__)]
-    for home, name in ((graph, "inverse_proximity"), (lattice, "valuation_table")):
-        original = getattr(home, name)
+    original = graph.inverse_proximity
 
-        def counted(*args, name=name, original=original):
-            calls.append(name)
-            return original(*args)
+    def counted(*args):
+        calls.append("inverse_proximity")
+        return original(*args)
 
-        for module in modules:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
+    for module in modules:
+        if getattr(module, "inverse_proximity", None) is original:
+            monkeypatch.setattr(module, "inverse_proximity", counted)
+
+    build = lattice.ValuationTable.matrix.func
+
+    def matrix(table):
+        calls.append("ValuationTable.matrix")
+        return build(table)
+
+    counted_matrix = cached_property(matrix)
+    counted_matrix.__set_name__(lattice.ValuationTable, "matrix")
+    monkeypatch.setattr(lattice.ValuationTable, "matrix", counted_matrix)
+    # cached tables may hold a matrix built before the count started
+    valuation_table.cache_clear()
     return calls
 
 
@@ -71,6 +94,24 @@ def test_library_queries_build_no_dense_matrix(dense_calls):
     assert dense_calls == []
 
 
+def test_graph_and_semigroup_queries_build_no_dense_matrix(dense_calls):
+    for ideal in _ideals():
+        g, n = ideal.graph, ideal.graph.n
+        table, dual = valuation_table(g), adjacency(g)
+        for mu in range(1, n + 1):
+            associated_pairs(g, mu)
+            vertex_semigroup(table, g, mu)
+            value_semigroup(table, g, mu)
+            for nu in range(1, n + 1):
+                infinitely_near(g, mu, nu)
+                valuation_ratio(table, mu, nu, mu)
+            for nu in (mu, *dual.neighbors_of(mu)):
+                frobenius_multiple(table, g, mu, nu)
+            for nu in dual.neighbors_of(mu):
+                branch_gcd(table, g, mu, nu)
+    assert dense_calls == []
+
+
 def test_cli_queries_build_no_dense_matrix(dense_calls, tmp_path, capsys):
     paths = []
     for k, ideal in enumerate(_ideals()):
@@ -82,8 +123,16 @@ def test_cli_queries_build_no_dense_matrix(dense_calls, tmp_path, capsys):
                      ["jumping", path, "--vertex", "1"], ["lct", path],
                      ["oracle", path, "--bound", "1"], ["multiplier", path, "--xi", "5/3"]):
             assert cli.main(argv) == 0, argv
+    for path, ideal in zip(paths, _ideals()):
+        for mu in range(1, ideal.graph.n + 1):
+            assert cli.main(["semigroup", path, "--vertex", str(mu)]) == 0
     capsys.readouterr()
     assert dense_calls == []
+    # the count sees the builds that ``matrices`` makes on purpose
+    for which in ("V", "Q"):
+        assert cli.main(["matrices", paths[0], "--which", which]) == 0
+    capsys.readouterr()
+    assert dense_calls == ["ValuationTable.matrix", "inverse_proximity"]
 
 
 def test_large_graph_lct_builds_no_dense_matrix(dense_calls):
