@@ -11,7 +11,8 @@ Vertices are 1-based and listed in blowup order, so the proximity matrix
 is unipotent lower triangular and inverts by forward substitution over the
 integers.  The intersection form P^t P is kept sparse: a point has at
 most two earlier targets, so its O(n) nonzero off-diagonal entries come
-straight from the proximities and the dual graph in linear time.
+straight from the proximities, and so does the dual graph, in linear
+time.  A graph that passes :func:`validate` has a tree as its dual graph.
 Validity is computed once per graph object and cached on it.
 """
 
@@ -26,7 +27,6 @@ __all__ = [
     "DualGraph",
     "InvalidGraphError",
     "validate",
-    "ensure_valid",
     "is_free",
     "proximity_matrix",
     "inverse_proximity",
@@ -165,8 +165,16 @@ def is_free(graph: ResolutionGraph, mu: int) -> bool:
 def validate(graph: ResolutionGraph) -> list[str]:
     """Check the structural rules; return the violations (empty if valid).
 
-    Violations are data, not exceptions: each entry names the offending
-    vertex and the broken rule.
+    Every point but the root has one or two earlier targets, and a point
+    proximate to two sits where their curves still meet: every nonzero
+    off-diagonal entry of P^t P is -1.  Violations are data, not
+    exceptions: each entry names the offending vertex and the broken rule.
+
+    A graph that passes has a tree as its dual graph, by induction in
+    blowup order.  A free point adds a leaf on its target.  A satellite v
+    on a and b raises entry (a, b) by one.  That entry starts at -1 or 0
+    when b is blown up and only rises, so the check allows this only if it
+    was -1: v replaces the edge a-b with the path a-v-b.
     """
     out = []
     n = graph.n
@@ -183,30 +191,11 @@ def validate(graph: ResolutionGraph) -> list[str]:
                 out.append(f"vertex {mu} proximate to {nu}, which is not an earlier vertex")
     if out:
         return out
-
-    entries = _form_entries(graph)
-    for (mu, nu), entry in sorted(entries.items()):
-        if entry != -1:
-            out.append(
-                f"intersection form entry {entry} between vertices {mu} and {nu}, "
-                "expected 0 or -1"
-            )
-    if out:
-        return out
-
-    if len(entries) != n - 1:
-        out.append(f"dual graph has {len(entries)} edges, a tree on {n} vertices needs {n - 1}")
-    neighbors = _dual_graph(graph, entries).neighbors  # every entry is -1 here
-    seen = {1}
-    stack = [1]
-    while stack:
-        for w in neighbors[stack.pop() - 1]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
-        out.append("dual graph is not connected")
-    return out
+    return [
+        f"intersection form entry {entry} between vertices {mu} and {nu}, expected 0 or -1"
+        for (mu, nu), entry in sorted(_form_entries(graph).items())
+        if entry != -1
+    ]
 
 
 def ensure_valid(graph: ResolutionGraph) -> None:
@@ -264,20 +253,6 @@ def _form_entries(graph: ResolutionGraph) -> dict[tuple[int, int], int]:
     return {key: entry for key, entry in entries.items() if entry}
 
 
-def _dual_graph(graph: ResolutionGraph, edges) -> DualGraph:
-    # the weight is the diagonal entry of P^t P
-    n = graph.n
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for mu, nu in edges:
-        neighbors[mu - 1].append(nu)
-        neighbors[nu - 1].append(mu)
-    weights = [1] * n
-    for targets in graph.prox:
-        for nu in targets:
-            weights[nu - 1] += 1
-    return DualGraph(n, tuple(tuple(sorted(adj)) for adj in neighbors), tuple(weights))
-
-
 def intersection_form(graph: ResolutionGraph) -> Matrix:
     """The symmetric form whose diagonal carries the vertex weights and
     whose -1 entries are the dual-graph edges, filled in on demand."""
@@ -291,9 +266,19 @@ def intersection_form(graph: ResolutionGraph) -> Matrix:
 @lru_cache(maxsize=None)
 def adjacency(graph: ResolutionGraph) -> DualGraph:
     """Dual graph from the sparse intersection form: neighbours ascending,
-    weights one plus the number of points proximate to the vertex."""
+    weights one plus the number of points proximate to the vertex (the
+    diagonal of P^t P)."""
     ensure_valid(graph)
-    return _dual_graph(graph, _form_entries(graph))
+    n = graph.n
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for mu, nu in _form_entries(graph):  # every entry is -1 on a valid graph
+        neighbors[mu - 1].append(nu)
+        neighbors[nu - 1].append(mu)
+    weights = [1] * n
+    for targets in graph.prox:
+        for nu in targets:
+            weights[nu - 1] += 1
+    return DualGraph(n, tuple(tuple(sorted(adj)) for adj in neighbors), tuple(weights))
 
 
 def branch(graph: ResolutionGraph, mu: int, nu: int) -> frozenset:

@@ -179,6 +179,20 @@ def test_fixture_gen_out_file(tmp_path, capsys):
     assert target.read_text() == (FIXTURES / "sample20.res").read_text()
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/regen.res", "No such file or directory"),
+    (".", "Is a directory"),
+])
+def test_fixture_gen_to_an_unwritable_path_exits_one(tmp_path, target, reason):
+    out = tmp_path / target
+    done = subprocess.run([sys.executable, "-m", "jumpnum.cli", "fixture-gen", "--out", str(out)],
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == f"cannot write {out}: {reason}\n"
+    assert "Traceback" not in done.stderr
+
+
 def test_vertex_out_of_range(capsys):
     code, out, err = run(capsys, "jumping", CUSP, "--vertex", "9")
     assert code == 1

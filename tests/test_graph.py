@@ -307,6 +307,31 @@ def test_validate_and_adjacency_match_the_dense_form():
     assert valid > 100 and invalid > 100
 
 
+def _all_proximity_structures(max_n):
+    """Every graph on n <= max_n vertices whose vertices 2..n are each
+    proximate to one or two earlier vertices."""
+    for n in range(1, max_n + 1):
+        choices = [
+            [*itertools.combinations(range(1, mu), 1), *itertools.combinations(range(1, mu), 2)]
+            for mu in range(2, n + 1)
+        ]
+        for prox in itertools.product(*choices):
+            yield ResolutionGraph(n, ((), *prox))
+
+
+def test_validate_matches_the_dense_form_on_every_small_structure():
+    # validate has no tree check of its own: the entry check implies it,
+    # and the reference keeps both, so they must agree everywhere.
+    graphs = list(_all_proximity_structures(6))
+    assert len(graphs) == 2903
+    valid = 0
+    for graph in graphs:
+        expected = _reference_validate(graph)
+        assert validate(graph) == expected
+        valid += not expected
+    assert valid == 1070
+
+
 @pytest.mark.parametrize("bias", [0.3, 0.8])
 def test_graph_layer_at_four_hundred_vertices(bias):
     graph, edges = random_blowup_sequence(random.Random(400), 400, bias)
