@@ -167,8 +167,8 @@ def validate(graph: ResolutionGraph) -> list[str]:
 
     Every point but the root has one or two earlier targets, and a point
     proximate to two sits where their curves still meet: every nonzero
-    off-diagonal entry of P^t P is -1.  Violations are data, not
-    exceptions: each entry names the offending vertex and the broken rule.
+    off-diagonal entry of P^t P is -1.  Violations are returned, not raised:
+    each names the rule and the offending vertex, or an entry's two vertices.
 
     A graph that passes has a tree as its dual graph, by induction in
     blowup order.  A free point adds a leaf on its target.  A satellite v

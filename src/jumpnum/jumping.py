@@ -5,7 +5,7 @@ when an integer score -- the scaled candidate plus a valence correction,
 minus one rounded-up term per branch -- lands in the vertex semigroup.
 Candidates at a vertex all have the vertex's valuation as denominator, so
 each support vertex is a plain scan over numerators.  A vertex's context
-is built afresh per call, with no cache.
+is built afresh per call from its row of V alone: no cache, no walk.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 from .graph import adjacency, branch
 from .ideals import IdealSpec, JumpingSet
 from .lattice import canonical, valuation_table
-from .semigroups import NumericalSemigroup, _end_gcd, membership
+from .semigroups import NumericalSemigroup, membership
 
 __all__ = [
     "branch_value",
@@ -30,23 +30,27 @@ __all__ = [
 
 def branch_value(ideal: IdealSpec, mu: int, nu: int) -> int:
     """Factorization-weighted valuation mass of the branch from mu towards nu."""
-    return _mass(ideal, branch(ideal.graph, mu, nu), valuation_table(ideal.graph).row(mu))
-
-
-def _mass(ideal: IdealSpec, component, row) -> int:
-    return sum(ideal.factorization[i - 1] * row[i - 1] for i in component)
+    row = valuation_table(ideal.graph).row(mu)
+    return sum(ideal.factorization[i - 1] * row[i - 1] for i in branch(ideal.graph, mu, nu))
 
 
 def _vertex_context(ideal: IdealSpec, mu: int):
-    """d_mu, the valence offset, one (s, w, s*d_mu) triple per branch (s its
-    gcd, w its value) and the semigroup, from one row and one walk per branch."""
-    dual, row = adjacency(ideal.graph), valuation_table(ideal.graph).row(mu)
-    d_mu = ideal.valuations[mu - 1]
-    components = [branch(ideal.graph, mu, nu) for nu in dual.neighbors_of(mu)]
-    gcds = [_end_gcd(row, dual, c) for c in components]
-    terms = tuple((s, _mass(ideal, c, row), s * d_mu) for s, c in zip(gcds, components))
-    offset = (len(gcds) - 2) * row[mu - 1]
-    return d_mu, offset, terms, NumericalSemigroup((*gcds, row[mu - 1]))
+    """d_mu, the valence offset, a (s, w, s*d_mu) triple per branch and the semigroup,
+    off row mu alone: towards a neighbour nu, s = gcd(v(mu,mu), v(mu,nu)) and
+    w = v(mu,mu) d_nu - d_mu v(mu,nu).  Proof, with B that branch and A = P^t P =
+    V^-1 (-1 on the edges): nu-mu is the one edge out of B, so y_j = [j in B] v(mu,j)
+    solves A y = v(mu,mu) e_nu - v(mu,nu) e_mu, and w = sum f_j y_j as d = V f.
+    v(a,b) is the product of the determinants of the subtrees off the path a..b,
+    pairwise coprime at a vertex as each term of det A = 1 expanded there has all
+    but one (Eisenbud-Neumann, Ann. Math. Stud. 110).  So at k in B, c = row mu has
+    gcd(c_k, c_parent) = gcd(c_k, sum of c at the children of k) = gcd over the
+    children of gcd(c_k, c_child), or c_k at an end; induct from the ends up to nu.
+    """
+    row, d = valuation_table(ideal.graph).row(mu), ideal.valuations
+    v, d_mu, adj = row[mu - 1], d[mu - 1], adjacency(ideal.graph).neighbors_of(mu)
+    gcds = [math.gcd(v, row[nu - 1]) for nu in adj]
+    terms = tuple((s, v * d[nu - 1] - d_mu * row[nu - 1], s * d_mu) for s, nu in zip(gcds, adj))
+    return d_mu, (len(gcds) - 2) * v, terms, NumericalSemigroup((*gcds, v))
 
 
 def _scores(offset: int, terms, ts: range) -> list[int]:

@@ -1,12 +1,12 @@
 """Numerical semigroups attached to the vertices of the dual graph.
 
-Each branch emanating from a vertex contributes the gcd of the valuation
-values at its ends; those gcds, together with the vertex's own diagonal
-value, generate the semigroup that decides which candidates are jumping
-numbers.  Membership tests are exact and O(1): each semigroup keeps its
-Apery table modulo its smallest generator m, the least member of every
-residue class, built once by the round-robin pass of Boecker and Liptak
-(Algorithmica 2007) in O(k*m) for k generators.
+Each branch emanating from a vertex mu contributes the gcd of the
+valuation values at its ends, read off row mu as gcd(v(mu,mu), v(mu,nu))
+for the branch towards nu; with v(mu,mu) they generate the semigroup that
+decides which candidates are jumping numbers.  Membership tests are exact
+and O(1): each semigroup keeps its Apery table modulo its smallest
+generator m, the least member of every residue class, built once by the
+round-robin pass of Boecker and Liptak (Algorithmica 2007) in O(k*m).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graph import DualGraph, ResolutionGraph, _integral, adjacency, branch
+from .graph import ResolutionGraph, _integral, adjacency, branch
 from .lattice import ValuationTable
 
 __all__ = [
@@ -94,14 +94,11 @@ def membership(semigroup: NumericalSemigroup, x) -> bool:
 
 def branch_gcd(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:
     """Gcd of the valuation values at the graph ends lying in the branch
-    emanating from mu towards nu."""
+    emanating from mu towards nu: gcd(v(mu,mu), v(mu,nu)) for a neighbour."""
     if mu == nu:
         raise ValueError("the branch from a vertex towards itself is empty")
-    return _end_gcd(table.row(mu), adjacency(graph), branch(graph, mu, nu))
-
-
-def _end_gcd(row, dual: DualGraph, component) -> int:
-    return math.gcd(*(row[tau - 1] for tau in component if len(dual.neighbors[tau - 1]) <= 1))
+    row, dual, inside = table.row(mu), adjacency(graph), branch(graph, mu, nu)
+    return math.gcd(*(row[t - 1] for t in inside if len(dual.neighbors[t - 1]) <= 1))
 
 
 def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, nu: int) -> int:
@@ -123,9 +120,8 @@ def vertex_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> 
 
     On a one-vertex graph this is the full set of nonnegative integers.
     """
-    row, dual = table.row(mu), adjacency(graph)
-    gcds = [_end_gcd(row, dual, branch(graph, mu, nu)) for nu in dual.neighbors_of(mu)]
-    return NumericalSemigroup((*gcds, row[mu - 1]))
+    row, adj = table.row(mu), adjacency(graph).neighbors_of(mu)
+    return NumericalSemigroup((*(math.gcd(row[mu - 1], row[nu - 1]) for nu in adj), row[mu - 1]))
 
 
 def value_semigroup(table: ValuationTable, graph: ResolutionGraph, mu: int) -> NumericalSemigroup:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from pathlib import Path
 
@@ -59,6 +60,18 @@ def random_blowup_sequence(rng: random.Random, n: int, satellite_bias=0.5):
             prox[mu] = (a,)
             edges.append((a, mu))
     return ResolutionGraph.build(n, prox), frozenset(edges)
+
+
+def all_proximity_structures(max_n):
+    """Every graph on n <= max_n vertices whose vertices 2..n are each
+    proximate to one or two earlier vertices."""
+    for n in range(1, max_n + 1):
+        choices = [
+            [*itertools.combinations(range(1, mu), 1), *itertools.combinations(range(1, mu), 2)]
+            for mu in range(2, n + 1)
+        ]
+        for prox in itertools.product(*choices):
+            yield ResolutionGraph(n, ((), *prox))
 
 
 def random_curve_graph(rng: random.Random, n: int, end_satellite=False) -> ResolutionGraph:

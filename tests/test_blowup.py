@@ -53,3 +53,34 @@ def test_blowing_up_a_point_off_the_ideal_extends_the_resolution_data():
             blowups += 1
         assert oracle_jumping_numbers(ideal, 1).values() == tuple(x for x in jumps if x <= 1)
     assert blowups > 60
+
+
+def test_a_blowup_moves_the_oracle_supports_by_the_mediant_rule():
+    # Same chains as above (same seed, same draws), at bound 1.  The old
+    # vertices keep their supports, and v joins the support of xi exactly
+    # when it is the satellite on a and b and both are in it: its ratio
+    # (e_v + k_v + 1) / d_v is then the mediant of theirs.  A free point on
+    # E_a has d_v = d_a and k_v = k_a + 1, one more in the numerator, and
+    # never attains xi.
+    rng = random.Random(2100)
+    jumps = joined = 0
+    for ideal in _ideals():
+        before = dict(oracle_jumping_numbers(ideal, 1).entries)
+        for _ in range(rng.randint(1, 3)):
+            graph = ideal.graph
+            v = graph.n + 1
+            edges = adjacency(graph).edges
+            if edges and rng.random() < 0.5:
+                a, b = rng.choice(sorted(edges))
+                blown, targets = blow_up(ideal, a, b), {a, b}
+            else:
+                blown, targets = blow_up(ideal, rng.randint(1, graph.n)), None
+            after = dict(oracle_jumping_numbers(blown, 1).entries)
+            assert after.keys() == before.keys()
+            for xi, support in before.items():
+                joins = targets is not None and targets <= support
+                assert after[xi] == (support | {v} if joins else support)
+                joined += joins
+            jumps += len(before)
+            ideal, before = blown, after
+    assert jumps > 5000 and joined > 20

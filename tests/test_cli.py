@@ -48,7 +48,7 @@ def test_validate_reports_violations(tmp_path, capsys):
     bad.write_text("N 4\nP 2 1\nP 3 1\nP 4 2 3\nD 1 0 0 0\n")
     code, out, err = run(capsys, "validate", str(bad))
     assert code == 1
-    assert "intersection" in out or "tree" in out
+    assert out.splitlines() == ["intersection form entry 1 between vertices 2 and 3, expected 0 or -1"]
 
 
 def test_parse_error_goes_to_stderr(tmp_path, capsys):

@@ -11,22 +11,32 @@ import jumpnum
 from jumpnum import (
     IdealSpec,
     JumpingSet,
+    NumericalSemigroup,
     ResolutionGraph,
     adjacency,
     branch,
     branch_gcd,
     branch_value,
+    frobenius_multiple,
     jump_test_value,
     jumping_numbers,
     jumping_numbers_at,
     log_canonical_threshold,
     support_vertices,
+    validate,
     valuation_table,
     vertex_semigroup,
 )
-from jumpnum import jumping, semigroups
+from jumpnum import jumping
+from jumpnum.cli import main
 
-from conftest import load_fixture, random_ideal
+from conftest import (
+    FIXTURES,
+    all_proximity_structures,
+    load_fixture,
+    random_blowup_graph,
+    random_ideal,
+)
 
 
 def test_branch_value_sample20(sample20_ideal):
@@ -239,24 +249,67 @@ def test_vertex_context_matches_public_branch_functions():
             assert semigroup == vertex_semigroup(table, graph, mu)
 
 
-def test_jumping_numbers_walks_each_branch_once(monkeypatch, sample20_ideal):
+def test_row_terms_match_the_walked_branches():
+    # For the branch B from mu towards a neighbour nu: its end gcd is
+    # gcd(v(mu,mu), v(mu,nu)), and for every j
+    # [j in B] v(mu,j) = v(mu,mu) v(nu,j) - v(mu,nu) v(mu,j),
+    # which, summed against any factorization, is the branch value.
+    graphs = [graph for graph in all_proximity_structures(6) if not validate(graph)]
+    assert len(graphs) == 1070
+    rng = random.Random("row-terms")
+    sizes = [(40, 0.2), (40, 0.5), (40, 0.8), (100, 0.2), (100, 0.8), (200, 0.5)]
+    graphs += [random_blowup_graph(rng, n, bias) for n, bias in sizes]
+    for graph in graphs:
+        table, dual, v = valuation_table(graph), adjacency(graph), valuation_table(graph).matrix
+        factorization = [rng.randint(0, 2) for _ in range(graph.n - 1)] + [1]
+        ideal = IdealSpec(graph, tuple(factorization))
+        for mu in range(1, graph.n + 1):
+            row, terms = v[mu - 1], []
+            for nu in dual.neighbors_of(mu):
+                inside = branch(graph, mu, nu)
+                assert [row[j] if j + 1 in inside else 0 for j in range(graph.n)] == [
+                    row[mu - 1] * v[nu - 1][j] - row[nu - 1] * row[j] for j in range(graph.n)
+                ]
+                s = branch_gcd(table, graph, mu, nu)
+                w = sum(factorization[j - 1] * row[j - 1] for j in inside)
+                terms.append((s, w, s * ideal.valuations[mu - 1]))
+            semigroup = NumericalSemigroup((*(s for s, _, _ in terms), row[mu - 1]))
+            assert vertex_semigroup(table, graph, mu) == semigroup
+            assert jumping._vertex_context(ideal, mu)[2:] == (tuple(terms), semigroup)
+
+
+def test_no_query_walks_a_branch(monkeypatch, capsys, sample20_ideal):
+    # The scan and vertex_semigroup read both branch terms off row mu;
+    # only the walked references walk.
     walks = []
 
     def counted(graph, mu, nu):
         walks.append((mu, nu))
         return branch(graph, mu, nu)
 
-    # every module that walks branches for the scan
-    for module in (jumping, semigroups):
-        monkeypatch.setattr(module, "branch", counted)
+    for info in pkgutil.iter_modules(jumpnum.__path__):
+        module = importlib.import_module(f"jumpnum.{info.name}")
+        if getattr(module, "branch", None) is branch:
+            monkeypatch.setattr(module, "branch", counted)
     rng = random.Random(151)
     for ideal in (sample20_ideal, *(random_ideal(rng, max_n=12) for _ in range(20))):
-        walks.clear()
+        table, graph = valuation_table(ideal.graph), ideal.graph
         jumping_numbers(ideal, 1)
-        dual = adjacency(ideal.graph)
-        expected = [(mu, nu) for mu in sorted(support_vertices(ideal))
-                    for nu in dual.neighbors_of(mu)]
-        assert walks == expected
+        for mu in range(1, graph.n + 1):
+            jumping_numbers_at(ideal, mu, 2)
+            jump_test_value(ideal, mu, Fraction(1, ideal.valuations[mu - 1]))
+            vertex_semigroup(table, graph, mu)
+    sample20 = str(FIXTURES / "sample20.res")
+    for argv in (["jumping", sample20, "--format", "tsv"], ["jumping", sample20, "--vertex", "1"],
+                 ["lct", sample20], ["oracle", sample20, "--bound", "1"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert walks == []
+    table, graph = valuation_table(sample20_ideal.graph), sample20_ideal.graph
+    branch_gcd(table, graph, 1, 3)
+    branch_value(sample20_ideal, 1, 3)
+    frobenius_multiple(table, graph, 1, 3)
+    assert walks == [(1, 3)] * 3
 
 
 def test_only_the_per_graph_caches_are_module_level():

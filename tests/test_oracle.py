@@ -172,6 +172,22 @@ def test_formula_supports_are_the_oracle_supports_at_support_vertices():
     assert wider > 0
 
 
+def test_formula_supports_are_the_oracle_supports_at_every_vertex():
+    # Both directions, at every vertex, valence one and two included: the
+    # scan at mu finds exactly the jumps whose oracle support contains mu.
+    rng = random.Random("every vertex")
+    ideals = [load_fixture(name) for name in ("maximal.res", "cusp.res", "sample20.res")]
+    ideals += [random_ideal(rng) for _ in range(60)]
+    pairs = 0
+    for ideal in ideals:
+        oracle = oracle_jumping_numbers(ideal, 2).entries
+        for mu in range(1, ideal.graph.n + 1):
+            expected = tuple(xi for xi, support in oracle if mu in support)
+            assert jumping_numbers_at(ideal, mu, 2).values() == expected
+            pairs += 1
+    assert pairs > 250
+
+
 def test_oracle_matches_formula_on_random_ideals():
     rng = random.Random(137)
     for _ in range(12):
