@@ -62,6 +62,7 @@ class ResolutionGraph:
     prox: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integral(self.n))
         if self.n < 1:
             raise ValueError("vertex count must be positive")
         if len(self.prox) != self.n:
@@ -76,7 +77,7 @@ class ResolutionGraph:
     @classmethod
     def build(cls, n: int, prox: dict[int, tuple[int, ...]] | None = None) -> "ResolutionGraph":
         """Construct from a {vertex: proximate-to} mapping (root omitted)."""
-        prox = prox or {}
+        n, prox = _integral(n), prox or {}
         if outside := prox.keys() - range(1, n + 1):
             raise ValueError(f"vertex out of range: {outside.pop()!r}")
         return cls(n, tuple(tuple(prox.get(mu, ())) for mu in range(1, n + 1)))

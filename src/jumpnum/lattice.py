@@ -6,13 +6,13 @@ coordinates are the factorization multiplicities.  Coordinates are plain
 ints where integral and exact Fractions otherwise, so floors and ceilings
 downstream stay trustworthy.  This module owns the base changes: four O(n)
 passes over the proximities multiply by P, P^t, Q = P^-1 and Q^t.  The
-canonical divisor, an ideal's valuations and ``ValuationTable.row``, the
-one reader of a valuation-table row, go through them.  The antinef closure
-unloads int coordinates on the dual graph's weights and neighbours,
-without the intersection matrix.  The unloading loop has one owner,
-``_settle``: the cold ``_unload`` calls it on a whole divisor, and the
-oracle's sweep calls it on the few entries each candidate disturbs;
-``Divisor`` is only in public functions.
+canonical divisor, an ideal's valuations, ``ValuationTable.row`` (the one
+reader of a valuation-table row) and ``resfile``'s recovery of proximities
+go through them.  The antinef closure unloads int coordinates on the dual
+graph's weights and neighbours, without the intersection matrix.  The
+unloading loop has one owner, ``_settle``: the cold ``_unload`` calls it
+on a whole divisor, and the oracle's sweep calls it on the few entries
+each candidate disturbs; ``Divisor`` is only in public functions.
 """
 
 from __future__ import annotations

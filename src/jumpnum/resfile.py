@@ -11,12 +11,16 @@ Parsing is strict: numbers are ASCII digits with an optional leading
 vertices, wrong D arity and negative entries are all rejected with the
 offending line number.  ``serialize_resolution`` emits the canonical form,
 so parse/serialize round trips are byte identical on canonical files.
+``proximity_from_valuation`` reads a resolution's proximities back off its
+valuation table point by point with the lattice's passes, in O(n^2).
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .graph import ResolutionGraph, _integral, validate
-from .lattice import valuation_table
+from .lattice import _hat_from_star, _star_from_e
 
 __all__ = [
     "ParseError",
@@ -128,66 +132,36 @@ def serialize_resolution(graph: ResolutionGraph, factorization) -> str:
 def proximity_from_valuation(matrix) -> ResolutionGraph:
     """Recover the proximity structure whose valuation table is ``matrix``.
 
-    The valuation table factors as Q Q^t with Q the inverse proximity
-    matrix, the unique unipotent lower-triangular factor.  With a unit
-    diagonal, that factor and its inverse need no division.  The proximity
-    sets are the -1 pattern of the inverse.  Any failure along the way
-    (non-integral entries, diagonal not one, negative factor entries,
-    inverse entries outside {0, -1}, invalid graph, or a table that does
-    not reproduce) rejects the input.
+    V = Q Q^t, and row i of Q = P^-1 is e_i plus the rows of the points i
+    is proximate to.  Read the points in blowup order, and suppose the
+    leading (i-1)-block of V is the table of the points read so far.  Then
+    row i left of the diagonal is that block times the 0/1 vector x of i's
+    targets, and V[i][i] is one plus the row's sum over them.  The block's
+    inverse is P^t P, so x is the row mapped through the passes P then P^t
+    on the points read so far, and with those targets the leading i-block
+    is their table.  By induction V is the table of the whole graph, so
+    nothing is left to reproduce.  Each point costs two passes.
+
+    Rejected, in this order: non-integral entries, a matrix that is not
+    square or not symmetric, the first point whose row maps to no 0/1
+    vector or whose diagonal is not one plus that sum, an invalid graph.
     """
     rows = [tuple(map(_integral, row)) for row in matrix]
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("valuation matrix must be square")
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError("valuation matrix must be symmetric")
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("valuation matrix must be symmetric")
 
-    # Unipotent Cholesky-style factorization: q[j][j] == 1 for j < i.
-    q = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            q[i][j] = rows[i][j] - sum(q[i][k] * q[j][k] for k in range(j))
-        diag_sq = rows[i][i] - sum(q[i][k] ** 2 for k in range(i))
-        if diag_sq != 1:
-            raise ValueError(
-                f"not a valuation table: unipotent factor fails at vertex {i + 1}"
-            )
-        q[i][i] = 1
-    for i in range(n):
-        for j in range(i):
-            if q[i][j] < 0:
-                raise ValueError(
-                    f"not a valuation table: factor has a negative entry at ({i + 1}, {j + 1})"
-                )
-
-    # Invert the unit lower-triangular factor; the result must be a
-    # proximity matrix.
-    p = [[0] * n for _ in range(n)]
-    for i in range(n):
-        p[i][i] = 1
-        for j in range(i - 1, -1, -1):
-            p[i][j] = -sum(q[i][k] * p[k][j] for k in range(j, i))
-    prox: dict[int, tuple[int, ...]] = {}
-    for i in range(1, n):
-        targets = []
-        for j in range(i):
-            entry = p[i][j]
-            if entry == -1:
-                targets.append(j + 1)
-            elif entry != 0:
-                raise ValueError(
-                    "not a proximity structure: inverse factor entry "
-                    f"{entry} at ({i + 1}, {j + 1})"
-                )
-        prox[i + 1] = tuple(targets)
-
-    graph = ResolutionGraph.build(n, prox)
-    violations = validate(graph)
-    if violations:
+    prox: list[tuple[int, ...]] = []
+    read = SimpleNamespace(prox=prox)  # the points read so far; the passes read only prox
+    for i, row in enumerate(rows):
+        x = _hat_from_star(_star_from_e(row[:i], read), read)
+        targets = tuple(j for j, entry in enumerate(x, 1) if entry)
+        if set(x) - {0, 1} or row[i] != 1 + sum(row[j - 1] for j in targets):
+            raise ValueError(f"not a valuation table: no proximity row fits vertex {i + 1}")
+        prox.append(targets)
+    graph = ResolutionGraph(n, tuple(prox))
+    if violations := validate(graph):
         raise ValueError("not a valid resolution graph: " + "; ".join(violations))
-    if valuation_table(graph).matrix != tuple(map(tuple, rows)):
-        raise ValueError("valuation table does not reproduce the input")
     return graph

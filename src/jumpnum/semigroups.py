@@ -106,7 +106,8 @@ def frobenius_multiple(table: ValuationTable, graph: ResolutionGraph, mu: int, n
 
     Computed by the signed valence sum over the branch; negative values
     mean no nonnegative multiple is missing.  By convention the vertex
-    itself yields minus its diagonal value.
+    itself yields minus its diagonal value.  At a neighbour nu it is also
+    v(mu,nu) (k_mu + 1) - v(mu,mu) (k_nu + 1), with k = canonical(graph).k.
     """
     row = table.row(mu)
     if mu == nu:

@@ -351,6 +351,15 @@ def test_non_integral_input_is_rejected():
     for x in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="is not an integer"):
             IdealSpec(ResolutionGraph.build(1), (x,))
+    # the vertex count goes through the same check
+    two = ResolutionGraph(2.0, ((), (1,)))
+    assert type(two.n) is int and validate(two) == []
+    assert ResolutionGraph.build(2.0, {2: (1,)}) == two == graph
+    for bad in (2.5, "2", float("inf")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            ResolutionGraph(bad, ((), (1,)))
+        with pytest.raises(ValueError, match="is not an integer"):
+            ResolutionGraph.build(bad, {})
 
 
 def test_validity_is_computed_once_per_graph(monkeypatch):

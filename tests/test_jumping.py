@@ -17,6 +17,7 @@ from jumpnum import (
     branch,
     branch_gcd,
     branch_value,
+    canonical,
     frobenius_multiple,
     jump_test_value,
     jumping_numbers,
@@ -253,7 +254,8 @@ def test_row_terms_match_the_walked_branches():
     # For the branch B from mu towards a neighbour nu: its end gcd is
     # gcd(v(mu,mu), v(mu,nu)), and for every j
     # [j in B] v(mu,j) = v(mu,mu) v(nu,j) - v(mu,nu) v(mu,j),
-    # which, summed against any factorization, is the branch value.
+    # which, summed against any factorization, is the branch value; and the
+    # Frobenius multiple is v(mu,nu) (k_mu + 1) - v(mu,mu) (k_nu + 1).
     graphs = [graph for graph in all_proximity_structures(6) if not validate(graph)]
     assert len(graphs) == 1070
     rng = random.Random("row-terms")
@@ -261,6 +263,7 @@ def test_row_terms_match_the_walked_branches():
     graphs += [random_blowup_graph(rng, n, bias) for n, bias in sizes]
     for graph in graphs:
         table, dual, v = valuation_table(graph), adjacency(graph), valuation_table(graph).matrix
+        k = canonical(graph).k
         factorization = [rng.randint(0, 2) for _ in range(graph.n - 1)] + [1]
         ideal = IdealSpec(graph, tuple(factorization))
         for mu in range(1, graph.n + 1):
@@ -270,6 +273,9 @@ def test_row_terms_match_the_walked_branches():
                 assert [row[j] if j + 1 in inside else 0 for j in range(graph.n)] == [
                     row[mu - 1] * v[nu - 1][j] - row[nu - 1] * row[j] for j in range(graph.n)
                 ]
+                assert frobenius_multiple(table, graph, mu, nu) == (
+                    row[nu - 1] * (k[mu - 1] + 1) - row[mu - 1] * (k[nu - 1] + 1)
+                )
                 s = branch_gcd(table, graph, mu, nu)
                 w = sum(factorization[j - 1] * row[j - 1] for j in inside)
                 terms.append((s, w, s * ideal.valuations[mu - 1]))

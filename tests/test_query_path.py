@@ -1,8 +1,9 @@
 """No query builds an n x n matrix: the dense inverse proximity matrix and
 the valuation table's ``matrix`` serve ``matrices`` and the tests, which use
 them as references.  Every other reader of the valuation table, from the
-jumping-number scan to ``semigroup`` and the table-taking public functions,
-reads single rows, and the infinitely-near order walks the proximities."""
+jumping-number scan to ``semigroup``, the table-taking public functions and
+the recovery of proximities from a table, reads single rows, and the
+infinitely-near order walks the proximities."""
 
 import importlib
 import pkgutil
@@ -28,6 +29,7 @@ from jumpnum import (
     log_canonical_threshold,
     multiplier_divisor,
     oracle_jumping_numbers,
+    proximity_from_valuation,
     serialize_resolution,
     valuation_ratio,
     valuation_table,
@@ -109,6 +111,7 @@ def test_graph_and_semigroup_queries_build_no_dense_matrix(dense_calls):
                 frobenius_multiple(table, g, mu, nu)
             for nu in dual.neighbors_of(mu):
                 branch_gcd(table, g, mu, nu)
+        assert proximity_from_valuation([table.row(mu) for mu in range(1, n + 1)]) == g
     assert dense_calls == []
 
 

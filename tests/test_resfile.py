@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from jumpnum import (
     ParseError,
     ResolutionGraph,
+    ValuationTable,
     parse_resolution,
     proximity_from_valuation,
     serialize_resolution,
@@ -13,7 +15,7 @@ from jumpnum import (
 )
 from jumpnum.sample20 import FACTORIZATION, VALUATION_MATRIX
 
-from conftest import FIXTURES
+from conftest import FIXTURES, all_proximity_structures, random_blowup_graph
 
 
 def test_parse_maximal():
@@ -134,11 +136,58 @@ def test_proximity_from_valuation_rejects_non_integral_entries():
 
 
 def test_proximity_from_valuation_rejections_keep_their_order():
-    with pytest.raises(ValueError, match="negative entry at \\(2, 1\\)"):
-        proximity_from_valuation(((1, -1), (-1, 2)))
-    # the factor fails at vertex 3 before the negative entry at (2, 1) is read
-    with pytest.raises(ValueError, match="unipotent factor fails at vertex 3"):
-        proximity_from_valuation(((1, -1, 0), (-1, 2, 0), (0, 0, 2)))
+    # the first point whose row fits no proximity row is named
+    for matrix in (((1, -1), (-1, 2)), ((1, -1, 0), (-1, 2, 0), (0, 0, 2))):
+        with pytest.raises(ValueError) as caught:
+            proximity_from_valuation(matrix)
+        assert str(caught.value) == "not a valuation table: no proximity row fits vertex 2"
+    # the cusp's table with only V[3][3] changed, then with V[3][1] = V[1][3] changed
+    for matrix in (((1, 1, 2), (1, 2, 3), (2, 3, 7)), ((1, 1, 3), (1, 2, 3), (3, 3, 6))):
+        with pytest.raises(ValueError) as caught:
+            proximity_from_valuation(matrix)
+        assert str(caught.value) == "not a valuation table: no proximity row fits vertex 3"
+
+
+def test_proximity_from_valuation_on_every_small_structure():
+    # Tables come from ValuationTable, which does not validate, so the
+    # invalid structures' tables are tested too.
+    tables = {}
+    for g in all_proximity_structures(6):
+        table = ValuationTable(g).matrix
+        if violations := validate(g):
+            with pytest.raises(ValueError) as caught:
+                proximity_from_valuation(table)
+            assert str(caught.value) == "not a valid resolution graph: " + "; ".join(violations)
+        else:
+            assert proximity_from_valuation(table) == g
+            tables[table] = g
+    assert len(tables) == 1070
+    # A perturbed table is accepted exactly when it is the table of a
+    # valid structure, and then gives that structure.  Changes to the last
+    # row alone can move the last point to other targets.
+    rng = random.Random("perturbed-tables")
+    valid, accepted = list(tables), 0
+    for _ in range(2000):
+        matrix = [list(row) for row in rng.choice(valid)]
+        n = len(matrix)
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.choice((n - 1, rng.randrange(n))), rng.randrange(n)
+            matrix[i][j] += rng.choice((-2, -1, 1, 2))
+            matrix[j][i] = matrix[i][j]
+        key = tuple(map(tuple, matrix))
+        try:
+            graph = proximity_from_valuation(matrix)
+        except ValueError:
+            assert key not in tables
+        else:
+            assert graph == tables[key]
+            accepted += 1
+    assert accepted > 0
+
+
+def test_proximity_from_valuation_round_trips_a_large_graph():
+    graph = random_blowup_graph(random.Random("recover:400"), 400, 0.5)
+    assert proximity_from_valuation(ValuationTable(graph).matrix) == graph
 
 
 def test_checked_in_sample20_matches_generator():
