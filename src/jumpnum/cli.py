@@ -13,6 +13,7 @@ built once, at import; each subcommand binds its handler with
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .jumping import jumping_numbers, jumping_numbers_at, log_canonical_threshol
 from .lattice import canonical, valuation_table
 from .oracle import multiplier_divisor, oracle_jumping_numbers
 from .resfile import parse_resolution
-from .semigroups import branch_gcd, frobenius_multiple, vertex_semigroup
+from .semigroups import NumericalSemigroup
 
 
 def _fraction(text: str) -> Fraction:
@@ -90,24 +91,30 @@ def _cmd_matrices(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     ideal = _ideal(args.file)
-    mu, table = args.vertex, valuation_table(ideal.graph)
-    gens = vertex_semigroup(table, ideal.graph, mu).generators  # checks mu
-    dual = adjacency(ideal.graph)
-    for nu in dual.neighbors_of(mu):
-        print(f"s {mu} {nu} {branch_gcd(table, ideal.graph, mu, nu)}")
-    for nu in dual.neighbors_of(mu):
-        print(f"M_frobenius {nu} {frobenius_multiple(table, ideal.graph, mu, nu)}")
+    mu, graph = args.vertex, ideal.graph
+    row, k = valuation_table(graph).row(mu), canonical(graph).k  # row checks mu
+    v, adj = row[mu - 1], adjacency(graph).neighbors_of(mu)
+    gcds = [math.gcd(v, row[nu - 1]) for nu in adj]
+    for nu, s in zip(adj, gcds):
+        print(f"s {mu} {nu} {s}")
+    for nu in adj:
+        # the Frobenius multiple of the branch towards a neighbour, off row mu and k
+        print(f"M_frobenius {nu} {row[nu - 1] * (k[mu - 1] + 1) - v * (k[nu - 1] + 1)}")
+    gens = NumericalSemigroup((*gcds, v)).generators
     print("S generators: " + " ".join(str(g) for g in gens))
     return 0
 
 
-def _print_jumping(entries, fmt: str) -> None:
-    if fmt == "text":
-        for xi, _ in entries:
-            print(xi)
-    else:
-        for xi, support in entries:
-            print(f"{xi}\t{','.join(str(v) for v in sorted(support))}")
+def _print_jumping(found, fmt: str) -> None:
+    """Each value in lowest terms from its key, with its support under tsv."""
+    lcm, lines = found.lcm, []
+    for key, support in zip(found.keys, found.supports):
+        g = math.gcd(key, lcm)
+        line = f"{key // g}/{lcm // g}" if g != lcm else str(key // g)
+        if fmt == "tsv":
+            line += "\t" + ",".join(map(str, sorted(support)))
+        lines.append(line + "\n")
+    sys.stdout.write("".join(lines))
 
 
 def _cmd_jumping(args) -> int:
@@ -116,7 +123,7 @@ def _cmd_jumping(args) -> int:
         found = jumping_numbers_at(ideal, args.vertex, args.bound)
     else:
         found = jumping_numbers(ideal, args.bound)
-    _print_jumping(found.entries, args.format)
+    _print_jumping(found, args.format)
     return 0
 
 
@@ -128,9 +135,9 @@ def _cmd_lct(args) -> int:
 def _cmd_oracle(args) -> int:
     ideal = _ideal(args.file)
     scanned = oracle_jumping_numbers(ideal, args.bound)
-    _print_jumping(scanned.entries, "text")
+    _print_jumping(scanned, "text")
     expected = jumping_numbers(ideal, args.bound)
-    if scanned.values() == expected.values():
+    if (scanned.lcm, scanned.keys) == (expected.lcm, expected.keys):
         print("MATCH")
         return 0
     extra = sorted(set(scanned.values()) - set(expected.values()))

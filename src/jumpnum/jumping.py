@@ -4,8 +4,10 @@ A positive rational is a jumping number supported at a vertex exactly
 when an integer score -- the scaled candidate plus a valence correction,
 minus one rounded-up term per branch -- lands in the vertex semigroup.
 Candidates at a vertex all have the vertex's valuation as denominator, so
-each support vertex is a plain scan over numerators.  A vertex's context
-is built afresh per call from its row of V alone: no cache, no walk.
+each support vertex is a plain scan over numerators, kept as int keys over
+one lcm into the ``JumpingSet``; a vertex without a factor whose scores all
+lie below zero is not scanned.  A vertex's context is built afresh per call
+from its row of V alone: no cache, no walk.
 """
 
 from __future__ import annotations
@@ -104,22 +106,31 @@ def jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
 
 
 def _scan(ideal: IdealSpec, vertices, bound) -> JumpingSet:
-    """Jumping numbers up to the bound supported at the given vertices."""
+    """Jumping numbers up to the bound supported at the given vertices.
+
+    A vertex with f_mu = 0 is skipped when its offset is below the sum of s
+    over its branches with w = 0.  Proof: d_mu = sum of w there, so the
+    branches with w > 0 take at least t, and every score is at most that gap.
+    """
     bound = Fraction(bound)
     if bound <= 0:
         raise ValueError("bound must be positive")
-    contexts = {mu: _vertex_context(ideal, mu) for mu in vertices}
+    contexts = []
+    for mu in vertices:
+        context = _vertex_context(ideal, mu)
+        _, offset, terms, _ = context
+        # At f_mu = 0 every score is at most offset - sum(s over w = 0); below 0 none is a member.
+        if ideal.factorization[mu - 1] or offset >= sum(s for s, w, _ in terms if not w):
+            contexts.append((mu, context))
     # t/d_mu == key/lcm with key = t*(lcm // d_mu): an exact integer sort key.
-    lcm = math.lcm(*(context[0] for context in contexts.values()))
+    lcm = math.lcm(*(context[0] for _, context in contexts))
     merged: dict[int, list] = {}
-    for mu, (d_mu, offset, terms, semigroup) in contexts.items():
-        ts = range(1, math.floor(bound * d_mu) + 1)
+    for mu, (d_mu, offset, terms, semigroup) in contexts:
+        ts, step = range(1, math.floor(bound * d_mu) + 1), lcm // d_mu
         found = [t for t, x in zip(ts, _scores(offset, terms, ts)) if membership(semigroup, x)]
         for t in found:
-            merged.setdefault(t * (lcm // d_mu), []).append(mu)
-    return JumpingSet(
-        tuple((Fraction(key, lcm), frozenset(merged[key])) for key in sorted(merged))
-    )
+            merged.setdefault(t * step, []).append(mu)
+    return JumpingSet([(key, frozenset(merged[key])) for key in sorted(merged)], lcm)
 
 
 def log_canonical_threshold(ideal: IdealSpec) -> Fraction:

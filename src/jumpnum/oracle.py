@@ -122,13 +122,9 @@ def oracle_jumping_numbers(ideal: IdealSpec, bound) -> JumpingSet:
     vertices.  With none raised the closure is e again; with one raised it
     has grown.
     """
-    lcm = math.lcm(*ideal.valuations)
     return JumpingSet(
-        tuple(
-            (Fraction(key, lcm), frozenset(raised))
-            for key, raised, _ in _sweep(ideal, bound)
-            if raised
-        )
+        [(key, frozenset(raised)) for key, raised, _ in _sweep(ideal, bound) if raised],
+        math.lcm(*ideal.valuations),
     )
 
 

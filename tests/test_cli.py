@@ -160,6 +160,25 @@ def test_oracle_match_maximal(capsys):
     assert out == "2\nMATCH\n"
 
 
+def test_oracle_match_across_lcms(monkeypatch, capsys):
+    # The formula builds its set over the lcm of the valuations it scans, the
+    # oracle over the lcm of all of them; MATCH must not depend on that.
+    from jumpnum import jumping, oracle
+    from jumpnum.ideals import JumpingSet
+
+    built = {}
+    for module in (jumping, oracle):
+        def record(pairs, lcm=None, name=module.__name__):
+            built[name] = lcm
+            return JumpingSet(pairs, lcm)
+
+        monkeypatch.setattr(module, "JumpingSet", record)
+    code, out, _ = run(capsys, "oracle", SAMPLE20, "--bound", "1")
+    assert code == 0 and out.endswith("\nMATCH\n")
+    formula, scanned = built["jumpnum.jumping"], built["jumpnum.oracle"]
+    assert scanned % formula == 0 and scanned != formula
+
+
 def test_multiplier_vector(capsys):
     assert run(capsys, "multiplier", CUSP, "--xi", "5/6")[1] == "1 0 0\n"
     assert run(capsys, "multiplier", CUSP, "--xi", "0")[1] == "0 0 0\n"

@@ -1,5 +1,6 @@
 import gc
 import importlib
+import math
 import pkgutil
 import random
 import weakref
@@ -157,6 +158,114 @@ def test_jumping_set_validation():
         JumpingSet(((Fraction(1), frozenset()),))
 
 
+def test_jumping_set_from_keys_equals_from_fractions():
+    rng = random.Random("key-form")
+    for _ in range(200):
+        lcm = rng.randint(1, 60)
+        keys = sorted(rng.sample(range(1, 4 * lcm + 8), rng.randint(0, 8)))
+        pairs = [(key, frozenset(rng.sample(range(1, 9), rng.randint(1, 3)))) for key in keys]
+        from_keys = JumpingSet(pairs, lcm)
+        from_fractions = JumpingSet([(Fraction(key, lcm), support) for key, support in pairs])
+        assert from_keys == from_fractions and hash(from_keys) == hash(from_fractions)
+        assert from_keys.entries == from_fractions.entries
+        assert from_keys.values() == tuple(Fraction(key, lcm) for key in keys)
+        assert list(from_keys) == [(Fraction(key, lcm), support) for key, support in pairs]
+        assert len(from_keys) == len(keys)
+        g = math.gcd(from_keys.lcm, *from_keys.keys)
+        assert g == 1 and from_keys.keys == tuple(key * from_keys.lcm // lcm for key in keys)
+
+
+def test_jumping_set_equal_across_lcms():
+    one, two = frozenset({1}), frozenset({2})
+    thirds = JumpingSet([(1, one), (2, two)], 3)
+    sixths = JumpingSet([(2, one), (4, two)], 6)
+    assert thirds == sixths and hash(thirds) == hash(sixths)
+    assert (sixths.lcm, sixths.keys) == (3, (1, 2))
+    assert JumpingSet([(2, one), (4, two)], 3) != thirds
+    assert JumpingSet([(2, two), (4, one)], 6) != thirds
+    assert JumpingSet([], 7) == JumpingSet(()) and JumpingSet([], 7).lcm == 1
+
+
+def test_jumping_set_key_form_validation():
+    one = frozenset({1})
+    for pairs in ([(2, one), (1, one)], [(2, one), (2, one)]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            JumpingSet(pairs, 3)
+    with pytest.raises(ValueError, match="positive"):
+        JumpingSet([(0, one), (1, one)], 3)
+    with pytest.raises(ValueError, match="nonempty"):
+        JumpingSet([(1, frozenset())], 3)
+
+
+def test_jumping_set_support_of():
+    one, two = frozenset({1}), frozenset({2, 3})
+    for found in (JumpingSet([(3, one), (8, two)], 12),
+                  JumpingSet(((Fraction(1, 4), one), (Fraction(2, 3), two)))):
+        assert found.support_of(Fraction(1, 4)) == one
+        assert found.support_of(Fraction(8, 12)) == two
+        for absent in (Fraction(1, 3), Fraction(13, 48), Fraction(1, 7), 0, Fraction(-1, 4), 1):
+            with pytest.raises(KeyError):
+                found.support_of(absent)
+    with pytest.raises(KeyError):
+        JumpingSet(()).support_of(Fraction(1, 2))
+
+
+def _skip_rule_by_walks(ideal, mu):
+    """The skip rule of ``_scan``, from the walked branches: f_mu = 0 and
+    (r - 2) v(mu,mu) below the sum of the branch gcds of the branches of
+    zero value."""
+    table, graph = valuation_table(ideal.graph), ideal.graph
+    neighbours = adjacency(graph).neighbors_of(mu)
+    empty = sum(branch_gcd(table, graph, mu, nu) for nu in neighbours
+                if branch_value(ideal, mu, nu) == 0)
+    v = table.entry(mu, mu)
+    return ideal.factorization[mu - 1] == 0 and (len(neighbours) - 2) * v < empty
+
+
+def _scanned_vertices(monkeypatch, ideal):
+    """How many vertices ``jumping_numbers`` at bound 1 computes scores at."""
+    calls = []
+
+    def counted(offset, terms, ts):
+        calls.append(ts)
+        return scores(offset, terms, ts)
+
+    scores = jumping._scores
+    with monkeypatch.context() as patch:
+        patch.setattr(jumping, "_scores", counted)
+        jumping_numbers(ideal, 1)
+    return len(calls)
+
+
+def test_skipped_vertices_support_nothing(monkeypatch, cusp_ideal, maximal_ideal, sample20_ideal):
+    # At f_mu = 0 the score has period d_mu, so t in [1, d_mu] covers every t.
+    rng = random.Random("skip")
+    ideals = [cusp_ideal, maximal_ideal, sample20_ideal,
+              *(random_ideal(rng, max_n=12, satellite_bias=0.7) for _ in range(20))]
+    for _ in range(40):  # one or two factors, as on satellite-rich inputs
+        graph = random_blowup_graph(rng, rng.randint(8, 24), 0.6)
+        factorization = [0] * graph.n
+        for mu in rng.sample(range(graph.n), rng.randint(1, 2)):
+            factorization[mu] = rng.randint(1, 2)
+        ideals.append(IdealSpec(graph, tuple(factorization)))
+    skipped_stars = 0
+    for ideal in ideals:
+        skipped = {mu for mu in range(1, ideal.graph.n + 1) if _skip_rule_by_walks(ideal, mu)}
+        for mu in skipped:
+            d_mu, offset, terms, semigroup = jumping._vertex_context(ideal, mu)
+            ts = range(1, d_mu + 1)
+            assert not any(x in semigroup for x in jumping._scores(offset, terms, ts))
+            assert len(jumping_numbers_at(ideal, mu, 3)) == 0
+        support = support_vertices(ideal)
+        assert _scanned_vertices(monkeypatch, ideal) == len(support - skipped)
+        skipped_stars += len(support & skipped)
+    assert skipped_stars > 50
+
+
+def test_sample20_skips_no_vertex(monkeypatch, sample20_ideal):
+    assert _scanned_vertices(monkeypatch, sample20_ideal) == len(support_vertices(sample20_ideal))
+
+
 def test_valence_one_vertex_without_factor_supports_nothing(cusp_ideal):
     assert jumping_numbers_at(cusp_ideal, 1, 2).values() == ()
     assert jumping_numbers_at(cusp_ideal, 2, 2).values() == ()
@@ -307,7 +416,8 @@ def test_no_query_walks_a_branch(monkeypatch, capsys, sample20_ideal):
             vertex_semigroup(table, graph, mu)
     sample20 = str(FIXTURES / "sample20.res")
     for argv in (["jumping", sample20, "--format", "tsv"], ["jumping", sample20, "--vertex", "1"],
-                 ["lct", sample20], ["oracle", sample20, "--bound", "1"]):
+                 ["lct", sample20], ["oracle", sample20, "--bound", "1"],
+                 *(["semigroup", sample20, "--vertex", str(mu)] for mu in range(1, 21))):
         assert main(argv) == 0
     capsys.readouterr()
     assert walks == []
