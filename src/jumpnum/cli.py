@@ -106,14 +106,14 @@ def _cmd_semigroup(args) -> int:
 
 
 def _print_jumping(found, fmt: str) -> None:
-    """Each value in lowest terms from its key, with its support under tsv."""
-    lcm, lines = found.lcm, []
+    """Each value in lowest terms from its key; under tsv, its support, formatted once."""
+    lcm, labels, lines = found.lcm, {}, []
     for key, support in zip(found.keys, found.supports):
+        if (label := labels.get(support)) is None:
+            label = "\t" + ",".join(map(str, sorted(support))) if fmt == "tsv" else ""
+            labels[support] = label
         g = math.gcd(key, lcm)
-        line = f"{key // g}/{lcm // g}" if g != lcm else str(key // g)
-        if fmt == "tsv":
-            line += "\t" + ",".join(map(str, sorted(support)))
-        lines.append(line + "\n")
+        lines.append(f"{key // g}/{lcm // g}{label}\n" if g != lcm else f"{key // g}{label}\n")
     sys.stdout.write("".join(lines))
 
 

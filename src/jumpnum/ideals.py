@@ -10,6 +10,7 @@ pipelines find them in, and builds ``Fraction``s only when asked.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -99,9 +100,10 @@ class JumpingSet:
         return tuple(Fraction(key, self.lcm) for key in self.keys)
 
     def support_of(self, xi: Fraction) -> frozenset:
-        for value, support in self.entries:
-            if value == xi:
-                return support
+        key = Fraction(xi) * self.lcm  # an int key, or no value of the set
+        i = bisect.bisect_left(self.keys, key)
+        if i < len(self.keys) and self.keys[i] == key:
+            return self.supports[i]
         raise KeyError(xi)
 
     def __iter__(self):

@@ -3,11 +3,11 @@
 A positive rational is a jumping number supported at a vertex exactly
 when an integer score -- the scaled candidate plus a valence correction,
 minus one rounded-up term per branch -- lands in the vertex semigroup.
-Candidates at a vertex all have the vertex's valuation as denominator, so
-each support vertex is a plain scan over numerators, kept as int keys over
-one lcm into the ``JumpingSet``; a vertex without a factor whose scores all
-lie below zero is not scanned.  A vertex's context is built afresh per call
-from its row of V alone: no cache, no walk.
+Candidates at a vertex share its valuation as denominator, so each support
+vertex is a plain scan over numerators, its branches of value 0 folded into
+one constant; its keys over one lcm share one support, unioned where vertices
+meet.  A vertex without a factor whose scores all lie below zero is not
+scanned.  Contexts come afresh per call from a row of V: no cache, no walk.
 """
 
 from __future__ import annotations
@@ -56,12 +56,19 @@ def _vertex_context(ideal: IdealSpec, mu: int):
 
 
 def _scores(offset: int, terms, ts: range) -> list[int]:
-    """Scores of the candidates t/d_mu for t in ts: t plus the offset, minus
-    s*max(ceil(w*t / (s*d_mu)), 1) per branch, all in integers."""
-    scores = [t + offset for t in ts]
+    """Scores of t/d_mu for t in ts (step 1): t plus the offset, minus
+    s*max(ceil(w*t / (s*d_mu)), 1) per branch, all in integers.  As w is a sum
+    of f_j v(mu,j) >= 0, a branch with w = 0 takes s, folded into the offset,
+    and one with w > 0 has a ceiling >= 1 at every t >= 1, so needs no max; at
+    t <= 0 (only ``jump_test_value`` asks) every ceiling is <= 0: each takes s."""
+    folded = offset - sum(s for s, w, _ in terms if not w)
+    scores = [t + folded for t in ts]
     for s, w, sd in terms:
-        ceilings = [-(-w * t // sd) for t in ts]
-        scores = [x - s * c if c > 1 else x - s for x, c in zip(scores, ceilings)]
+        if w:  # s*ceil(w*t/sd) is -s*floor(-w*t/sd)
+            w = -w
+            scores = [x + s * (w * t // sd) for x, t in zip(scores, ts)]
+    for i in range(min(1 - ts.start, len(ts))):
+        scores[i] = ts[i] + offset - sum(s for s, _, _ in terms)
     return scores
 
 
@@ -111,6 +118,7 @@ def _scan(ideal: IdealSpec, vertices, bound) -> JumpingSet:
     A vertex with f_mu = 0 is skipped when its offset is below the sum of s
     over its branches with w = 0.  Proof: d_mu = sum of w there, so the
     branches with w > 0 take at least t, and every score is at most that gap.
+    The keys found at mu share one frozenset {mu}; a key found twice takes the union.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -124,13 +132,13 @@ def _scan(ideal: IdealSpec, vertices, bound) -> JumpingSet:
             contexts.append((mu, context))
     # t/d_mu == key/lcm with key = t*(lcm // d_mu): an exact integer sort key.
     lcm = math.lcm(*(context[0] for _, context in contexts))
-    merged: dict[int, list] = {}
+    merged: dict[int, frozenset] = {}
     for mu, (d_mu, offset, terms, semigroup) in contexts:
-        ts, step = range(1, math.floor(bound * d_mu) + 1), lcm // d_mu
-        found = [t for t, x in zip(ts, _scores(offset, terms, ts)) if membership(semigroup, x)]
-        for t in found:
-            merged.setdefault(t * step, []).append(mu)
-    return JumpingSet([(key, frozenset(merged[key])) for key in sorted(merged)], lcm)
+        ts, step, alone = range(1, math.floor(bound * d_mu) + 1), lcm // d_mu, frozenset((mu,))
+        scores = _scores(offset, terms, ts)
+        for key in [t * step for t, x in zip(ts, scores) if membership(semigroup, x)]:
+            merged[key] = merged[key] | alone if key in merged else alone
+    return JumpingSet(sorted(merged.items()), lcm)
 
 
 def log_canonical_threshold(ideal: IdealSpec) -> Fraction:

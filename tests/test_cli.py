@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jumpnum import ParseError, parse_resolution
+from jumpnum import ParseError, jumping_numbers, parse_resolution, serialize_resolution
 from jumpnum.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture, random_ideal
 
 ROOT = FIXTURES.parent
 CUSP = str(FIXTURES / "cusp.res")
@@ -134,6 +135,27 @@ def test_jumping_tsv_multi_support(capsys):
         assert Fraction(xi) <= Fraction(1, 2)
         vertices = [int(v) for v in support.split(",")]
         assert vertices == sorted(vertices)
+
+
+def test_jumping_tsv_bytes_from_the_entries(tmp_path, capsys):
+    """The tsv and text output, rendered from ``JumpingSet.entries`` alone, on
+    inputs with several multi-vertex supports that a label cache must not mix."""
+    rng = random.Random("tsv-bytes")
+    ideals = [(SAMPLE20, load_fixture("sample20.res"), "1")]
+    for i in range(20):
+        ideal = random_ideal(rng, max_n=10, satellite_bias=0.6)
+        path = tmp_path / f"{i}.res"
+        path.write_text(serialize_resolution(ideal.graph, ideal.factorization))
+        ideals.append((str(path), ideal, "2"))
+    multi = 0
+    for path, ideal, bound in ideals:
+        entries = jumping_numbers(ideal, Fraction(bound)).entries
+        multi += sum(len(support) > 1 for _, support in entries) > 1
+        tsv = "".join(f"{xi}\t{','.join(map(str, sorted(support)))}\n" for xi, support in entries)
+        assert run(capsys, "jumping", path, "--bound", bound, "--format", "tsv")[1] == tsv
+        text = "".join(f"{xi}\n" for xi, _ in entries)
+        assert run(capsys, "jumping", path, "--bound", bound)[1] == text
+    assert multi > 10
 
 
 def test_jumping_prefix_property(capsys):

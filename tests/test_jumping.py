@@ -50,11 +50,30 @@ def test_jump_test_value_cusp(cusp_ideal):
     assert jump_test_value(cusp_ideal, 3, Fraction(5, 6)) == 0
     # a float goes through Fraction, as in the other entry points
     assert jump_test_value(cusp_ideal, 3, 0.5) == jump_test_value(cusp_ideal, 3, Fraction(1, 2)) == -2
+    # at t <= 0 every branch takes s, however large w is
+    assert jump_test_value(cusp_ideal, 3, 0) == -5
+    assert jump_test_value(cusp_ideal, 3, -1) == -11
 
 
 def test_jump_test_value_sample20(sample20_ideal):
     assert jump_test_value(sample20_ideal, 1, Fraction(3, 31)) == 0
     assert jump_test_value(sample20_ideal, 1, Fraction(1, 31)) == -1
+
+
+def test_scores_match_the_direct_formula(cusp_ideal, maximal_ideal, sample20_ideal):
+    """``_scores`` against t + offset - sum of s*max(ceil(w*t / (s*d_mu)), 1)
+    over the branches, on both sides of t = 0."""
+    rng = random.Random("scores")
+    ideals = [cusp_ideal, maximal_ideal, sample20_ideal,
+              *(random_ideal(rng, max_n=12, satellite_bias=0.6) for _ in range(20))]
+    for ideal in ideals:
+        for mu in range(1, ideal.graph.n + 1):
+            d_mu, offset, terms, _ = jumping._vertex_context(ideal, mu)
+            ts = range(-d_mu, 2 * d_mu + 1)
+            direct = [t + offset - sum(s * max(-(-w * t // sd), 1) for s, w, sd in terms)
+                      for t in ts]
+            assert jumping._scores(offset, terms, ts) == direct
+            assert jumping._scores(offset, terms, ts[d_mu + 1:]) == direct[d_mu + 1:]
 
 
 def test_jump_test_value_rejects_non_candidates(cusp_ideal):
@@ -208,6 +227,31 @@ def test_jumping_set_support_of():
                 found.support_of(absent)
     with pytest.raises(KeyError):
         JumpingSet(()).support_of(Fraction(1, 2))
+
+
+def test_jumping_set_support_of_matches_a_linear_search():
+    def linear(found, xi):
+        for value, support in found.entries:
+            if value == xi:
+                return support
+        raise KeyError(xi)
+
+    rng = random.Random("support-of")
+    for _ in range(200):
+        lcm = rng.randint(1, 60)
+        keys = sorted(rng.sample(range(1, 4 * lcm + 8), rng.randint(0, 8)))
+        found = JumpingSet(
+            [(key, frozenset(rng.sample(range(1, 9), rng.randint(1, 3)))) for key in keys], lcm)
+        queries = [Fraction(key, lcm) for key in keys]
+        queries += [Fraction(rng.randint(-4, 5 * lcm), rng.randint(1, 2 * lcm)) for _ in range(8)]
+        for xi in queries + [0, 1, 2]:
+            try:
+                expected = linear(found, xi)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    found.support_of(xi)
+            else:
+                assert found.support_of(xi) is expected
 
 
 def _skip_rule_by_walks(ideal, mu):
